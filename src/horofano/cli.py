@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .continuity import ContinuityOptions, ContinuityTrace, continuity_sweep, estimate_rm_numeric
+from .dh import worker_count
 from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import (
     ReflectivityReport,
@@ -385,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        worker_count()  # reject a malformed HOROFANO_THREADS before any work
         loaded = load_problem(args.input, strict=args.command != "validate")
         opt = loaded.options
         overrides = {}

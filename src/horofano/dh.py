@@ -5,6 +5,13 @@ barycenter, polynomial moments) built on the closed-form integral of a
 barycentric monomial over a simplex, and a float route for exponential-weighted
 moments built on tensor Gauss-Legendre quadrature mapped to each simplex of
 the fixed fan triangulation, with a Richardson-style order check.
+
+The exact barycenter expands the density once per simplex and reads the
+volume and every first moment off that one expansion (Baldoni et al., "How
+to integrate a polynomial over a simplex", Math. Comp. 2011).  The quadrature
+nodes and weights on the unit simplex depend only on (r, order); they are
+built once into a module-level table keyed by (r, order), shared by every
+simplex and every call, and each call only maps them affinely.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import factorial
 import numpy as np
 
 from . import kernels
-from .errors import MathValidationError, QuadratureError
+from .errors import MathValidationError, QuadratureError, SchemaError
 from .polytopes import Polytope, Simplex, triangulate
 from .rationals import Vec, vdot
 
@@ -130,29 +137,73 @@ def dh_moment(polytope: Polytope, density: DHDensity, extra_forms=()) -> Q:
     )
 
 
-def dh_volume(polytope: Polytope, density: DHDensity) -> Q:
-    """Exact volume of the polytope for the density measure; must be positive."""
+def _simplex_mass_moments(simplex: Simplex, forms) -> tuple[Q, list[Q]]:
+    """Integral of the product of ``forms`` over a simplex and its first
+    moments, from one barycentric expansion of the product.
+
+    With x = sum_j lambda_j v_j, the moment of x_i is sum_j v_j[i] times the
+    integral of lambda_j * p, which is the closed form with exponent j raised
+    by one: d! prod(a!) (a_j + 1) / (|a| + d + 1)!.
+    """
+    d = simplex.dim
+    poly = {tuple(0 for _ in range(d + 1)): Q(1)}
+    for f in forms:
+        poly = _poly_mul(poly, _affine_to_bary(simplex, f, Q(0)))
+        if not poly:
+            return Q(0), [Q(0)] * d
+    mass = Q(0)
+    lam = [Q(0)] * (d + 1)  # integral of lambda_j * p divided by the volume
+    for exps, coeff in poly.items():
+        num = factorial(d)
+        for a in exps:
+            num *= factorial(a)
+        n = sum(exps) + d
+        mass += coeff * Q(num, factorial(n))
+        c1 = coeff * Q(num, factorial(n + 1))
+        for j, a in enumerate(exps):
+            lam[j] += c1 * (a + 1)
+    vol = simplex.volume()
+    moments = [
+        vol * sum((lj * v[i] for lj, v in zip(lam, simplex.vertices)), Q(0))
+        for i in range(d)
+    ]
+    return vol * mass, moments
+
+
+def _require_nonnegative(polytope: Polytope, density: DHDensity) -> None:
     if not density.nonnegative_on(polytope):
         raise MathValidationError(
             "density is negative somewhere on the polytope", condition="density_nonneg"
         )
-    vol = dh_moment(polytope, density)
+
+
+def _require_positive(vol: Q) -> None:
     if vol <= 0:
         raise MathValidationError(
             "density measure of the polytope vanishes", condition="positive_volume"
         )
+
+
+def dh_volume(polytope: Polytope, density: DHDensity) -> Q:
+    """Exact volume of the polytope for the density measure; must be positive."""
+    _require_nonnegative(polytope, density)
+    vol = dh_moment(polytope, density)
+    _require_positive(vol)
     return vol
 
 
 def dh_barycenter(polytope: Polytope, density: DHDensity) -> Vec:
-    """Exact barycenter of the polytope for the density measure."""
-    vol = dh_volume(polytope, density)
-    dim = polytope.dim
-    out = []
-    for i in range(dim):
-        unit = tuple(Q(1) if j == i else Q(0) for j in range(dim))
-        out.append(dh_moment(polytope, density, extra_forms=[(unit, 0)]) / vol)
-    return tuple(out)
+    """Exact barycenter of the polytope for the density measure, from one
+    density expansion per simplex."""
+    _require_nonnegative(polytope, density)
+    vol = Q(0)
+    first = [Q(0)] * polytope.dim
+    for s in triangulate(polytope):
+        mass, moments = _simplex_mass_moments(s, density.forms)
+        vol += mass
+        first = [a + b for a, b in zip(first, moments)]
+    _require_positive(vol)
+    return tuple(m / vol for m in first)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +224,9 @@ class WeightedMoments:
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# (r, order) -> tensor GL nodes collapsed onto the unit simplex, and their
+# weights times the Jacobian of the collapse; read-only, filled on first use
+_UNIT_NODES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gl_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,34 +236,57 @@ def _gl_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[m]
 
 
+def _unit_simplex_nodes(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor GL nodes on the unit r-simplex by the collapsing transform."""
+    key = (r, m)
+    if key not in _UNIT_NODES:
+        t1, w1 = _gl_unit(m)
+        grids = np.meshgrid(*([t1] * r), indexing="ij")
+        ts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        wgrids = np.meshgrid(*([w1] * r), indexing="ij")
+        ws = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
+        u = np.empty_like(ts)
+        jac = np.ones(ts.shape[0])
+        shrink = np.ones(ts.shape[0])
+        for i in range(r):
+            u[:, i] = ts[:, i] * shrink
+            jac *= shrink
+            shrink = shrink * (1.0 - ts[:, i])
+        wj = ws * jac
+        u.flags.writeable = False
+        wj.flags.writeable = False
+        # threads racing on a missing key build equal arrays; keep the first
+        _UNIT_NODES.setdefault(key, (u, wj))
+    return _UNIT_NODES[key]
+
+
 def _simplex_nodes(verts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor GL nodes mapped onto a simplex by the collapsing transform."""
+    """Tensor GL nodes mapped affinely onto a simplex from the unit table."""
     r = verts.shape[0] - 1
-    t1, w1 = _gl_unit(m)
-    grids = np.meshgrid(*([t1] * r), indexing="ij")
-    ts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w1] * r), indexing="ij")
-    ws = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
-    u = np.empty_like(ts)
-    jac = np.ones(ts.shape[0])
-    shrink = np.ones(ts.shape[0])
-    for i in range(r):
-        u[:, i] = ts[:, i] * shrink
-        jac *= shrink
-        shrink = shrink * (1.0 - ts[:, i])
+    u, wj = _unit_simplex_nodes(r, m)
     edges = verts[1:] - verts[0]
     detedge = abs(float(np.linalg.det(edges))) if r > 1 else abs(float(edges[0, 0]))
     points = verts[0][None, :] + u @ edges
-    return points, ws * jac * detedge
+    return points, wj * detedge
 
 
-def _worker_count(workers) -> int:
+def worker_count(workers=None) -> int:
+    """Integration threads: ``workers`` if given, else ``HOROFANO_THREADS``,
+    else 1.  The variable must be a positive integer."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("HOROFANO_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise SchemaError(
+            f"must be a positive integer, got {env!r}", "HOROFANO_THREADS"
+        )
+    return n
 
 
 def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
@@ -253,10 +330,7 @@ def weighted_moments(
     result is checked against order m+4; the order is raised (three times at
     most) until the relative difference drops below ``rel_tol``.
     """
-    if not density.nonnegative_on(polytope):
-        raise MathValidationError(
-            "density is negative somewhere on the polytope", condition="density_nonneg"
-        )
+    _require_nonnegative(polytope, density)
     r = polytope.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
     if ell.shape != (r,):
@@ -272,7 +346,7 @@ def weighted_moments(
     ]
     m = order if order is not None else density.degree + DEFAULT_QUAD_EXTRA
     m = max(4, int(m))
-    nworkers = _worker_count(workers)
+    nworkers = worker_count(workers)
 
     def one(task):
         verts, mm = task

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from horofano import dh
 from horofano.cli import load_problem, main
 
 TORIC_M12 = {
@@ -171,6 +174,33 @@ def test_report_determinism_across_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("HOROFANO_THREADS", "4")
     assert main(["soliton", "--input", src, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_report_determinism_concurrent_node_table_fill(tmp_path, monkeypatch):
+    # r = 3 triangulates into several simplices, so four workers start on an
+    # empty unit-simplex node table together and race to fill each order;
+    # the one-worker run fills its own empty table
+    src = write(tmp_path, A2_LEVI)
+    out4, out1 = tmp_path / "r4.json", tmp_path / "r1.json"
+    monkeypatch.setattr(dh, "_UNIT_NODES", {})
+    monkeypatch.setenv("HOROFANO_THREADS", "4")
+    assert main(["soliton", "--input", src, "--out", str(out4)]) == 0
+    assert dh._UNIT_NODES
+    monkeypatch.setattr(dh, "_UNIT_NODES", {})
+    monkeypatch.setenv("HOROFANO_THREADS", "1")
+    assert main(["soliton", "--input", src, "--out", str(out1)]) == 0
+    assert out4.read_bytes() == out1.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_threads_variable_validated_first(tmp_path, monkeypatch, capsys, value):
+    # rejected before the input is read: the missing file is never reported
+    monkeypatch.setenv("HOROFANO_THREADS", value)
+    missing = str(tmp_path / "missing.json")
+    assert main(["soliton", "--input", missing]) == 2
+    err = capsys.readouterr().err
+    assert "HOROFANO_THREADS" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_schema_error():

@@ -1,4 +1,9 @@
+import itertools
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Q
 
 import numpy as np
@@ -17,6 +22,7 @@ from horofano import (
     triangulate,
     weighted_moments,
 )
+from horofano import dh
 
 UNIT_TRIANGLE = Simplex(vertices=((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))))
 
@@ -218,3 +224,128 @@ def test_weighted_moments_separable_box_3d():
 def test_dh_volume_zero_density_rejected():
     with pytest.raises(MathValidationError):
         dh_volume(from_vertices([(0, 0), (1, 0), (0, 1)]), density_from_forms([(0, 0)]))
+
+
+def _seed_simplex_nodes(verts, m):
+    """Direct construction of the collapsed tensor GL rule on one simplex:
+    meshgrid, collapse, then weights times Jacobian times |det edges|."""
+    r = verts.shape[0] - 1
+    x, w = np.polynomial.legendre.leggauss(m)
+    t1, w1 = (x + 1.0) / 2.0, w / 2.0
+    grids = np.meshgrid(*([t1] * r), indexing="ij")
+    ts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    wgrids = np.meshgrid(*([w1] * r), indexing="ij")
+    ws = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
+    u = np.empty_like(ts)
+    jac = np.ones(ts.shape[0])
+    shrink = np.ones(ts.shape[0])
+    for i in range(r):
+        u[:, i] = ts[:, i] * shrink
+        jac *= shrink
+        shrink = shrink * (1.0 - ts[:, i])
+    edges = verts[1:] - verts[0]
+    detedge = abs(float(np.linalg.det(edges))) if r > 1 else abs(float(edges[0, 0]))
+    points = verts[0][None, :] + u @ edges
+    return points, ws * jac * detedge
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 7, 22, 26])
+def test_simplex_nodes_match_direct_construction(r, m):
+    # a non-unit simplex, so the affine map and |det edges| both act
+    verts = np.array(
+        [[0.5, -1.25, 2.0], [3.0, -1.0, 2.5], [0.75, 1.5, 1.0], [1.0, -0.5, 4.25]]
+    )[: r + 1, :r]
+    pts, wts = dh._simplex_nodes(verts, m)
+    ref_pts, ref_wts = _seed_simplex_nodes(verts, m)
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert wts.tobytes() == ref_wts.tobytes()
+    # a second call reads the cached unit table and still agrees
+    pts2, wts2 = dh._simplex_nodes(verts, m)
+    assert pts2.tobytes() == ref_pts.tobytes() and wts2.tobytes() == ref_wts.tobytes()
+
+
+def test_unit_node_table_concurrent_fill(monkeypatch):
+    # more threads than cores start together on an empty table and switch
+    # often; every caller must see the complete rule
+    verts = np.array([[0.5, -1.25, 2.0], [3.0, -1.0, 2.5], [0.75, 1.5, 1.0], [1.0, -0.5, 4.25]])
+    orders = [9, 13, 17, 21]
+    ref = {m: _seed_simplex_nodes(verts, m) for m in orders}
+    nthreads = 8
+    start = threading.Barrier(nthreads)
+
+    def work(k):
+        start.wait(timeout=60)
+        return [(m, dh._simplex_nodes(verts, m)) for m in orders[k % 2 :] + orders[: k % 2]]
+
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(dh, "_UNIT_NODES", {})
+            with ThreadPoolExecutor(max_workers=nthreads) as pool:
+                futures = [pool.submit(work, k) for k in range(nthreads)]
+                results += [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for m, (pts, wts) in (item for res in results for item in res):
+        assert pts.tobytes() == ref[m][0].tobytes()
+        assert wts.tobytes() == ref[m][1].tobytes()
+
+
+def _random_rational(rng, lo, hi, den=4):
+    return Q(rng.randint(lo * den, hi * den), den)
+
+
+def _reference_barycenter(p, dens):
+    vol = dh_volume(p, dens)
+    units = [tuple(Q(int(j == i)) for j in range(p.dim)) for i in range(p.dim)]
+    return tuple(dh_moment(p, dens, extra_forms=[(u, 0)]) / vol for u in units)
+
+
+def test_barycenter_single_expansion_matches_reference_route():
+    # random rational boxes and simplices in the positive orthant with
+    # nonnegative forms, so the density is nonnegative on every draw
+    rng = random.Random(20261018)
+    cases = []
+    for trial in range(18):
+        dim = 1 + trial % 3
+        if trial % 2 == 0:
+            lo = [_random_rational(rng, 0, 2) for _ in range(dim)]
+            hi = [a + _random_rational(rng, 1, 3) for a in lo]
+            verts = [tuple(c) for c in itertools.product(*zip(lo, hi))]
+        else:
+            verts = [
+                tuple(_random_rational(rng, 0, 3) for _ in range(dim))
+                for _ in range(dim + 1)
+            ]
+        try:
+            p = from_vertices(verts)
+        except MathValidationError:
+            continue  # a degenerate simplex draw
+        forms = [
+            tuple(_random_rational(rng, 0, 2) for _ in range(dim))
+            for _ in range(rng.randint(0, 4))
+        ]
+        cases.append((p, [f for f in forms if any(f)]))
+    # the density x1 * (x1 + x2) vanishes on the facet x1 = 0
+    cases.append((from_vertices([(0, 0), (2, 0), (0, 3), (2, 3)]), [(1, 0), (1, 1)]))
+    assert len(cases) >= 15
+    for p, forms in cases:
+        dens = density_from_forms(forms)
+        assert dh_barycenter(p, dens) == _reference_barycenter(p, dens)
+
+
+def test_barycenter_rejects_like_volume():
+    interval = from_vertices([(-1,), (1,)])
+    triangle = from_vertices([(0, 0), (1, 0), (0, 1)])
+    for p, forms, condition in [
+        (interval, [(1,)], "density_nonneg"),
+        (triangle, [(0, 0)], "positive_volume"),
+    ]:
+        dens = density_from_forms(forms)
+        for fn in (dh_volume, dh_barycenter):
+            with pytest.raises(MathValidationError) as err:
+                fn(p, dens)
+            assert err.value.condition == condition
