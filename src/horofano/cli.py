@@ -170,22 +170,11 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     for key in opts:
         if key not in known:
             raise SchemaError(f"unknown option {key!r}", "options")
+    options = ContinuityOptions(**opts)
     # soliton solves default to 1e-10; the continuity solver's default stays
     # at its own 1e-9 (the attainable residual floor at desk grids) unless
     # the user sets a tolerance explicitly
-    tol = float(opts.get("tol", 1e-10))
-    options = ContinuityOptions(
-        grid=int(opts.get("grid", 2001)),
-        box=float(opts["box"]) if "box" in opts and opts["box"] is not None else None,
-        t0=float(opts.get("t0", 0.1)),
-        tol=float(opts["tol"]) if "tol" in opts else ContinuityOptions.tol,
-        step0=float(opts.get("step0", 0.05)),
-        max_step=float(opts.get("max_step", 0.1)),
-        min_step=float(opts.get("min_step", 1e-4)),
-        window=float(opts.get("window", 0.8)),
-        quad_order=int(opts["quad_order"]) if "quad_order" in opts else None,
-        quad_rel_tol=float(opts.get("quad_rel_tol", 1e-12)),
-    )
+    tol = options.tol if "tol" in opts else 1e-10
     return LoadedProblem(
         hp=hp, options=options, tol=tol, reflectivity=reflectivity,
         input_hash=digest, q_given=q_given,

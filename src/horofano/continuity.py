@@ -23,21 +23,32 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction as Q
 
 import numpy as np
 
 from . import kernels
-from .errors import MathValidationError, SolverError
+from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import Polytope
 from .problem import HorosphericalProblem
 from .rationals import vdot
 from .soliton import weighted_mass
 
 
+_POSITIVE_OPTIONS = ("tol", "step0", "max_step", "min_step", "window", "box", "quad_rel_tol")
+
+
 @dataclass(frozen=True)
 class ContinuityOptions:
+    """Grid, tolerances and step control of the continuity solver.
+
+    Every field is checked once, on construction (``dataclasses.replace``
+    included), and converted to its type: a value that is not a finite
+    number, a fractional count, t0 outside (0, 1] or a non-positive
+    tolerance, step, window or box is a ``SchemaError`` naming the option.
+    """
+
     grid: int = 2001
     box: float | None = None
     t0: float = 0.1
@@ -50,6 +61,27 @@ class ContinuityOptions:
     quad_rel_tol: float = 1e-12
     quad_order: int | None = None
     workers: int | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("box", "quad_order", "workers"):
+                continue
+            kind = int if f.name in ("grid", "max_newton", "quad_order", "workers") else float
+            try:
+                num = kind(value)
+                ok = (not isinstance(value, bool) and math.isfinite(num)
+                      and float(num) == float(value))
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                what = "an integer" if kind is int else "a finite number"
+                raise SchemaError(f"expected {what}, got {value!r}", f"options.{f.name}")
+            if f.name == "t0" and not 0 < num <= 1:
+                raise SchemaError(f"must lie in (0, 1], got {num!r}", "options.t0")
+            if f.name in _POSITIVE_OPTIONS and not num > 0:
+                raise SchemaError(f"must be positive, got {num!r}", f"options.{f.name}")
+            object.__setattr__(self, f.name, num)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +352,10 @@ def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray) -> np.ndarray:
     return u + math.log(mass / setup.volume) / t
 
 
+def _stencil_1d(setup: ContinuitySetup, u: np.ndarray):
+    return kernels.stencil_1d(u, setup.h, setup.qlo, setup.qhi, setup.bcoef[:, 0], setup.boff)
+
+
 def _thomas_transposed(lo, di, up, rhs):
     lo_t = np.concatenate([[0.0], up[:-1]])
     up_t = np.concatenate([lo[1:], [0.0]])
@@ -341,7 +377,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
     opts = setup.options
     u = _rebalance(setup, t, init)
     xi0 = float(setup.xi[0])
-    bc = setup.bcoef[:, 0] if setup.bcoef.size else np.zeros(0)
+    bc = setup.bcoef[:, 0]
 
     def residual(vec, conv_extra=0.0):
         return kernels.residual_1d(
@@ -355,9 +391,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
         raise SolverError("initial iterate inadmissible", last_state=u)
 
     def translation_vector(vec):
-        uext = np.concatenate([[vec[0] - setup.h * setup.qlo], vec,
-                               [vec[-1] + setup.h * setup.qhi]])
-        grad = (uext[2:] - uext[:-2]) / (2.0 * setup.h)
+        grad = _stencil_1d(setup, vec)[2]
         return grad / np.linalg.norm(grad)
 
     gauge = None  # (g left-null, c right-null) when deflation is active
@@ -453,16 +487,13 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
     tail_r = math.exp(-(w[-1] + 0.5 * h * setup.qhi)) / setup.qhi
     tail_l = math.exp(-(w[0] + 0.5 * h * (-setup.qlo))) / (-setup.qlo)
     mass = float(h * np.sum(ew) + tail_l + tail_r)
-    ughost_l = u[0] - h * setup.qlo
-    ughost_r = u[-1] + h * setup.qhi
-    uext = np.concatenate([[ughost_l], u, [ughost_r]])
-    grad = (uext[2:] - uext[:-2]) / (2.0 * h)
+    uext, _, grad, _ = _stencil_1d(setup, u)
     margin = float(min(setup.qhi - grad.max(), grad.min() - setup.qlo))
     x_l = setup.axis[0] - h
     x_r = setup.axis[-1] + h
     u0ghosts = setup.refpot.value(np.array([[x_l], [x_r]]))
-    wext = np.concatenate([[t * ughost_l + (1 - t) * u0ghosts[0]], w,
-                           [t * ughost_r + (1 - t) * u0ghosts[1]]])
+    wext = np.concatenate([[t * uext[0] + (1 - t) * u0ghosts[0]], w,
+                           [t * uext[-1] + (1 - t) * u0ghosts[1]]])
     wgrad = (wext[2:] - wext[:-2]) / (2.0 * h)
     centering = float(h * np.sum(wgrad * ew))
     # boundary offset: u minus the support function at the right end of the box
@@ -730,22 +761,12 @@ def ma_residual(hp: HorosphericalProblem, u: np.ndarray, t: float, xi,
         setup = build_setup(hp, xi, options or ContinuityOptions())
     if hp.a1_dim == 1:
         u = np.asarray(u, dtype=np.float64)
-        h = setup.h
-        bc = setup.bcoef[:, 0] if setup.bcoef.size else np.zeros(0)
-        uext = np.concatenate([[u[0] - h * setup.qlo], u, [u[-1] + h * setup.qhi]])
-        second = (uext[2:] - 2 * u + uext[:-2]) / h**2
-        grad = (uext[2:] - uext[:-2]) / (2 * h)
-        terms = setup.boff[None, :] - 0.5 * grad[:, None] * bc[None, :]
+        f = kernels.residual_1d(
+            u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef[:, 0], setup.boff, setup.qlo,
+            setup.qhi, setup.invc, closed_l=setup.closed_l, closed_r=setup.closed_r,
+        )[0]
+        _, second, _, terms = _stencil_1d(setup, u)
         mask = (second >= -setup.conv_floor) & np.all(terms >= -setup.term_floor, axis=1)
-        w = t * u + (1 - t) * setup.u0
-        f = (
-            second * np.prod(terms, axis=1) * setup.invc
-            - np.exp(-w - grad * float(setup.xi[0]))
-        )
-        if setup.closed_l:
-            f[0] = second[0]
-        if setup.closed_r:
-            f[-1] = second[-1]
         return f, mask
     parts = _residual_2d(setup, t, np.asarray(u, dtype=np.float64))
     if parts is None:
@@ -758,45 +779,43 @@ def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None =
                setup: ContinuitySetup | None = None) -> ContinuityState:
     """Solve the discrete equation at one value of the deformation parameter.
 
-    Without an initial guess the solver ramps t up from the reference
-    potential in a few warm-started stages (a cold Newton start far from t0
-    is outside the basin of the equation's strong exponential nonlinearity).
+    With ``init`` this is one Newton solve warm-started there.  Without it
+    the continuity sweep runs from the reference potential to t (a cold
+    Newton start far from t0 is outside the basin of the equation's strong
+    exponential nonlinearity) and its final state is returned; a sweep that
+    stops short raises ``SolverError`` naming its termination.
     """
     if setup is None:
         setup = build_setup(hp, xi, options or ContinuityOptions())
     if not 0 < t <= 1:
         raise MathValidationError("t must lie in (0, 1]")
+    if init is None:
+        trace = _sweep(setup, t)
+        if trace.termination != "reached_t1":
+            raise SolverError(
+                f"continuity sweep to t = {t} ended in {trace.termination}"
+                + (f" at t = {trace.diverged_at}" if trace.diverged_at is not None else ""),
+                last_state=trace.final_state,
+            )
+        return trace.final_state
     newton = _newton_1d if hp.a1_dim == 1 else _newton_2d
     mkstate = _state_1d if hp.a1_dim == 1 else _state_2d
-    if init is not None:
-        force = hp.a1_dim == 1 and t >= 1.0
-        u, rnorm, iters, defect = newton(
-            setup, t, np.asarray(init, dtype=np.float64), force_gauge=force
-        )
-        return mkstate(setup, t, u, rnorm, iters, defect)
-    t_cur = min(t, setup.options.t0)
-    u, rnorm, iters, defect = newton(setup, t_cur, setup.u0.copy())
-    step = setup.options.max_step
-    while t_cur < t:
-        t_try = min(t, t_cur + step)
-        force = hp.a1_dim == 1 and t_try >= 1.0
-        try:
-            u, rnorm, iters, defect = newton(setup, t_try, u, force_gauge=force)
-        except SolverError:
-            step *= 0.5
-            if step < setup.options.min_step:
-                raise
-            continue
-        t_cur = t_try
-        step = min(setup.options.max_step, step * 1.5)
+    u, rnorm, iters, defect = newton(
+        setup, t, np.asarray(init, dtype=np.float64), force_gauge=hp.a1_dim == 1 and t >= 1.0
+    )
     return mkstate(setup, t, u, rnorm, iters, defect)
 
 
 def continuity_sweep(hp: HorosphericalProblem, xi,
                      options: ContinuityOptions | None = None) -> ContinuityTrace:
     """Advance t from t0 toward 1 with warm starts and adaptive steps."""
-    options = options or ContinuityOptions()
-    setup = build_setup(hp, xi, options)
+    return _sweep(build_setup(hp, xi, options or ContinuityOptions()), 1.0)
+
+
+def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
+    """The continuation loop: from min(t0, t_end) to t_end; its termination is
+    "reached_t1" once t_end is reached (t_end is 1 for the public sweep)."""
+    hp, options = setup.hp, setup.options
     trace = ContinuityTrace(
         volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n,
         xi=tuple(float(v) for v in setup.xi),
@@ -804,7 +823,7 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
     solve = _newton_1d if hp.a1_dim == 1 else _newton_2d
     mkstate = _state_1d if hp.a1_dim == 1 else _state_2d
 
-    t = options.t0
+    t = min(options.t0, t_end)
     try:
         u, rnorm, iters, defect = solve(setup, t, setup.u0.copy())
     except SolverError:
@@ -815,14 +834,14 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
     if _escaped(state, setup, options):
         trace.termination = "divergence"
         trace.diverged_at = t
-        trace.final_step = options.t0
+        trace.final_step = t
         return trace
-    trace.states.append(_summary(state, options.t0))
+    trace.states.append(_summary(state, t))
     trace.final_state = state
 
     step = options.step0
-    while t < 1.0:
-        t_try = min(1.0, t + step)
+    while t < t_end:
+        t_try = min(t_end, t + step)
         force = hp.a1_dim == 1 and t_try >= 1.0
         try:
             u_new, rnorm, iters, defect = solve(setup, t_try, u.copy(), force_gauge=force)
@@ -830,7 +849,7 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
         except SolverError:
             step *= 0.5
             if step < options.min_step:
-                if hp.a1_dim == 1 and 1.0 - t < 0.01:
+                if hp.a1_dim == 1 and t_end >= 1.0 and 1.0 - t < 0.01:
                     # the gauge-stiff band just below t = 1 can be
                     # un-navigable by continuation at coarse grids; the
                     # endpoint itself is still solvable with the translation

@@ -1,60 +1,28 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
+"""Hot numeric kernels: quadrature moments, the 1-D residual and its
+tridiagonal Jacobian, and the tridiagonal solve.
 
-The backend is chosen once at import from ``HOROFANO_NUMBA``: "0" forces the
-numpy fallback, "1" requires numba, anything else auto-detects.  Both paths
-compute the same quantities; ``benchmarks/bench_kernels.py`` compares them.
-Results are deterministic per backend (fixed summation order per call).
+Everything is numpy, except the tridiagonal solve, which calls LAPACK
+``dgtsv`` (LU with partial pivoting) through scipy.  scipy is imported inside
+``thomas`` only: importing ``scipy.linalg`` costs a sizable share of a cold
+command, and the r = 3 commands never solve a tridiagonal system.  Results
+are deterministic (fixed summation order per call).  ``perfbench/run.py
+--trace 1`` reports per-kernel times.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
+from .errors import SolverError
 
 
-def _resolve_backend() -> str:
-    flag = os.environ.get("HOROFANO_NUMBA", "auto").strip().lower()
-    if flag in ("0", "off", "numpy"):
-        return "numpy"
-    if flag in ("1", "on", "numba"):
-        if not _HAVE_NUMBA:
-            raise RuntimeError("HOROFANO_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
-
-
-def get_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend ('numba' or 'numpy'); used by tests/benchmarks."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# weighted moments over quadrature nodes
-# ---------------------------------------------------------------------------
-
-
-def _quad_moments_numpy(points, weights, forms, offs, ell):
+def quad_moments(points, weights, forms, offs, ell):
+    """(I0, I1, I2) of exp(<ell, p>) * prod(forms . p + offs) over weighted nodes."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    forms = np.ascontiguousarray(forms, dtype=np.float64).reshape(-1, points.shape[1])
+    offs = np.ascontiguousarray(offs, dtype=np.float64)
+    ell = np.ascontiguousarray(ell, dtype=np.float64)
     dens = np.ones_like(weights)
     if forms.shape[0]:
         dens = np.prod(points @ forms.T + offs, axis=1)
@@ -65,63 +33,47 @@ def _quad_moments_numpy(points, weights, forms, offs, ell):
     return i0, i1, i2
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _quad_moments_numba(points, weights, forms, offs, ell):  # pragma: no cover
-        n, r = points.shape
-        k = forms.shape[0]
-        i0 = 0.0
-        i1 = np.zeros(r)
-        i2 = np.zeros((r, r))
-        for a in range(n):
-            dens = 1.0
-            for m in range(k):
-                acc = offs[m]
-                for j in range(r):
-                    acc += forms[m, j] * points[a, j]
-                dens *= acc
-            e = 0.0
-            for j in range(r):
-                e += ell[j] * points[a, j]
-            w = weights[a] * dens * np.exp(e)
-            i0 += w
-            for j in range(r):
-                i1[j] += w * points[a, j]
-                for j2 in range(r):
-                    i2[j, j2] += w * points[a, j] * points[a, j2]
-        return i0, i1, i2
-
-
-def quad_moments(points, weights, forms, offs, ell):
-    """(I0, I1, I2) of exp(<ell, p>) * prod(forms . p + offs) over weighted nodes."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    forms = np.ascontiguousarray(forms, dtype=np.float64).reshape(-1, points.shape[1])
-    offs = np.ascontiguousarray(offs, dtype=np.float64)
-    ell = np.ascontiguousarray(ell, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _quad_moments_numba(points, weights, forms, offs, ell)
-    return _quad_moments_numpy(points, weights, forms, offs, ell)
-
-
 # ---------------------------------------------------------------------------
-# 1-D Monge-Ampere residual / Jacobian assembly
+# 1-D Monge-Ampere stencil, residual and Jacobian
 # ---------------------------------------------------------------------------
 
 
-def _residual_1d_numpy(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, conv_floor, term_floor, closed_l, closed_r):
-    n = u.shape[0]
-    um = np.empty(n)
-    up = np.empty(n)
-    um[1:] = u[:-1]
-    um[0] = u[0] - h * qlo
-    up[:-1] = u[1:]
-    up[-1] = u[-1] + h * qhi
-    second = (up - 2.0 * u + um) / (h * h)
-    grad = (up - um) / (2.0 * h)
+def stencil_1d(u, h, qlo, qhi, bcoef, boff):
+    """The 1-D finite-difference stencil of a grid potential ``u``.
+
+    Returns (uext, second, grad, terms): ``u`` with one ghost node on each
+    side, extending it affinely with the extreme slopes ``qlo`` / ``qhi`` of
+    the gradient polytope (the truncation boundary condition); the second
+    difference and the centred gradient at every node; and the density
+    factors boff - grad * bcoef / 2, one column per form.
+    """
+    uext = np.concatenate(([u[0] - h * qlo], u, [u[-1] + h * qhi]))
+    second = (uext[2:] - 2.0 * u + uext[:-2]) / (h * h)
+    grad = (uext[2:] - uext[:-2]) / (2.0 * h)
     terms = boff[None, :] - 0.5 * grad[:, None] * bcoef[None, :]
-    ok = bool(np.all(second >= -conv_floor) and np.all(terms >= -term_floor))
+    return uext, second, grad, terms
+
+
+def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
+                conv_floor=0.0, term_floor=0.0, closed_l=False, closed_r=False):
+    """Residual of the normalized discrete 1-D equation plus its tridiagonal
+    Jacobian: F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi).
+
+    The stencil is ``stencil_1d``.  Returns (residual, lower, diag, upper,
+    admissible); the residual and Jacobian are always fully computed, and the
+    flag reports whether second differences and density factors are
+    nonnegative up to the given rounding floors (the potential is
+    machine-affine deep in the tails, and Newton iterates may dip below zero
+    there transiently).
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    u0 = np.ascontiguousarray(u0, dtype=np.float64)
+    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
+    boff = np.ascontiguousarray(boff, dtype=np.float64)
+    h, t, xi, invc = float(h), float(t), float(xi), float(invc)
+    n = u.shape[0]
+    _, second, grad, terms = stencil_1d(u, h, float(qlo), float(qhi), bcoef, boff)
+    ok = bool(np.all(second >= -float(conv_floor)) and np.all(terms >= -float(term_floor)))
     dens = np.prod(terms, axis=1)
     w = t * u + (1.0 - t) * u0
     # far-off line-search trials may overflow the exponential; the resulting
@@ -162,165 +114,28 @@ def _residual_1d_numpy(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, conv_floor,
     return f, lower, diag, upper, ok
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _residual_1d_numba(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, conv_floor, term_floor, closed_l, closed_r):  # pragma: no cover
-        n = u.shape[0]
-        k = bcoef.shape[0]
-        f = np.zeros(n)
-        lower = np.zeros(n)
-        diag = np.zeros(n)
-        upper = np.zeros(n)
-        ok = True
-        for i in range(n):
-            um = u[i - 1] if i > 0 else u[0] - h * qlo
-            up = u[i + 1] if i < n - 1 else u[n - 1] + h * qhi
-            second = (up - 2.0 * u[i] + um) / (h * h)
-            grad = (up - um) / (2.0 * h)
-            if second < -conv_floor:
-                ok = False
-            dens = 1.0
-            for m in range(k):
-                term = boff[m] - 0.5 * grad * bcoef[m]
-                if term < -term_floor:
-                    ok = False
-                dens *= term
-            sd = 0.0
-            for m in range(k):
-                other = 1.0
-                for m2 in range(k):
-                    if m2 != m:
-                        other *= boff[m2] - 0.5 * grad * bcoef[m2]
-                sd += -0.5 * bcoef[m] * other
-            w = t * u[i] + (1.0 - t) * u0[i]
-            rhs = np.exp(-w - grad * xi)
-            f[i] = second * dens * invc - rhs
-            a2 = dens * invc / (h * h)
-            ag = (second * sd * invc + rhs * xi) / (2.0 * h)
-            cm = a2 - ag
-            cp = a2 + ag
-            cc = -2.0 * a2 + rhs * t
-            diag[i] = cc
-            if i > 0:
-                lower[i] = cm
-            else:
-                diag[i] += cm
-            if i < n - 1:
-                upper[i] = cp
-            else:
-                diag[i] += cp
-        inv_h2 = 1.0 / (h * h)
-        if closed_l:
-            um = u[0] - h * qlo
-            f[0] = (u[1] - 2.0 * u[0] + um) / (h * h)
-            diag[0] = -inv_h2
-            upper[0] = inv_h2
-        if closed_r:
-            up_ = u[n - 1] + h * qhi
-            f[n - 1] = (up_ - 2.0 * u[n - 1] + u[n - 2]) / (h * h)
-            diag[n - 1] = -inv_h2
-            lower[n - 1] = inv_h2
-        return f, lower, diag, upper, ok
-
-
-def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
-                conv_floor=0.0, term_floor=0.0, closed_l=False, closed_r=False):
-    """Residual of the normalized discrete 1-D equation plus its tridiagonal
-    Jacobian: F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi).
-
-    Ghost values extend the potential affinely with the extreme slopes of the
-    gradient polytope, which realizes the truncation boundary condition.
-    Returns (residual, lower, diag, upper, admissible); the residual and
-    Jacobian are always fully computed, and the flag reports whether second
-    differences and density factors are nonnegative up to the given rounding
-    floors (the potential is machine-affine deep in the tails, and Newton
-    iterates may dip below zero there transiently).
-    """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    u0 = np.ascontiguousarray(u0, dtype=np.float64)
-    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
-    boff = np.ascontiguousarray(boff, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _residual_1d_numba(
-            u, u0, float(h), float(t), float(xi), bcoef, boff, float(qlo), float(qhi),
-            float(invc), float(conv_floor), float(term_floor), bool(closed_l), bool(closed_r)
-        )
-    return _residual_1d_numpy(
-        u, u0, float(h), float(t), float(xi), bcoef, boff, float(qlo), float(qhi),
-        float(invc), float(conv_floor), float(term_floor), bool(closed_l), bool(closed_r)
-    )
-
-
 # ---------------------------------------------------------------------------
 # tridiagonal solve
 # ---------------------------------------------------------------------------
 
 
-def _thomas_numpy(lower, diag, upper, rhs):
-    from scipy.linalg import solve_banded
-
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _thomas_numba(lower, diag, upper, rhs):  # pragma: no cover
-        # tridiagonal LU with partial pivoting (the dgtsv scheme); the plain
-        # Thomas recurrence hits zero pivots on the near-Neumann tail blocks
-        n = diag.shape[0]
-        d = diag.copy()
-        du = upper.copy()
-        dl = lower.copy()
-        du2 = np.zeros(n)
-        b = rhs.copy()
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(dl[i + 1]):
-                fact = dl[i + 1] / d[i]
-                d[i + 1] -= fact * du[i]
-                b[i + 1] -= fact * b[i]
-            else:
-                fact = d[i] / dl[i + 1]
-                d[i] = dl[i + 1]
-                temp = d[i + 1]
-                d[i + 1] = du[i] - fact * temp
-                if i < n - 2:
-                    du2[i] = du[i + 1]
-                    du[i + 1] = -fact * du[i + 1]
-                du[i] = temp
-                temp_b = b[i]
-                b[i] = b[i + 1]
-                b[i + 1] = temp_b - fact * b[i + 1]
-        x = np.zeros(n)
-        x[n - 1] = b[n - 1] / d[n - 1]
-        if n > 1:
-            x[n - 2] = (b[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (b[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-        return x
-
-
 def thomas(lower, diag, upper, rhs):
-    """Solve a tridiagonal system given by the three bands."""
-    lower = np.ascontiguousarray(lower, dtype=np.float64)
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    upper = np.ascontiguousarray(upper, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _thomas_numba(lower, diag, upper, rhs)
-    return _thomas_numpy(lower, diag, upper, rhs)
+    """Solve a tridiagonal system given by the three bands (lower[0] and
+    upper[-1] are ignored) with LAPACK ``dgtsv``, LU with partial pivoting:
+    the plain Thomas recurrence hits zero pivots on near-Neumann tail blocks.
 
+    Raises ``SolverError`` on non-finite input or an exactly singular pivot,
+    where ``dgtsv`` itself would return garbage or NaN.
+    """
+    from scipy.linalg.lapack import dgtsv
 
-def warmup() -> None:
-    """Trigger numba compilation on tiny inputs so timings stay flat."""
-    pts = np.zeros((2, 1))
-    quad_moments(pts, np.ones(2), np.ones((1, 1)), np.ones(1), np.zeros(1))
-    u = np.array([0.0, 0.1, 0.4])
-    residual_1d(u, u, 1.0, 0.5, 0.0, np.zeros(0), np.zeros(0), -1.0, 1.0, 1.0, 0.0, 0.0, False, False)
-    thomas(np.array([0.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0, 0.0]), np.ones(3))
+    dl = np.ascontiguousarray(lower, dtype=np.float64)[1:]
+    d = np.ascontiguousarray(diag, dtype=np.float64)
+    du = np.ascontiguousarray(upper, dtype=np.float64)[:-1]
+    b = np.ascontiguousarray(rhs, dtype=np.float64)
+    if not all(np.isfinite(a).all() for a in (dl, d, du, b)):
+        raise SolverError("tridiagonal system has non-finite entries")
+    _, _, _, x, info = dgtsv(dl, d, du, b)
+    if info != 0:
+        raise SolverError(f"tridiagonal system is singular (dgtsv info={info})")
+    return x

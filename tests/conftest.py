@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from horofano import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # trigger numba compilation once so individual tests time only their work
-    kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

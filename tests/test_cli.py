@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,42 @@ def test_threads_variable_validated_first(tmp_path, monkeypatch, capsys, value):
     err = capsys.readouterr().err
     assert "HOROFANO_THREADS" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("options,flags,name", [
+    ({"step0": 0}, [], "step0"),
+    ({"t0": 1.5}, [], "t0"),
+    ({"t0": 0}, [], "t0"),
+    ({"tol": -1}, [], "tol"),
+    ({"grid": "abc"}, [], "grid"),
+    ({"grid": 801.5}, [], "grid"),
+    ({"box": "wide"}, [], "box"),
+    ({"box": -2}, [], "box"),
+    ({"max_step": 0}, [], "max_step"),
+    ({"min_step": -1e-4}, [], "min_step"),
+    ({"window": 0}, [], "window"),
+    ({"quad_rel_tol": 0}, [], "quad_rel_tol"),
+    ({"quad_order": "high"}, [], "quad_order"),
+    ({"step0": True}, [], "step0"),
+    ({}, ["--t0", "1.5"], "t0"),
+    ({}, ["--tol", "-1"], "tol"),
+    ({}, ["--box", "nan"], "box"),
+])
+def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
+    spec = dict(TORIC_M12)
+    spec["options"] = dict(TORIC_M12["options"], **options)
+    assert main(["continuity", "--input", write(tmp_path, spec), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"options.{name}:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported lazily by the kernels: a cold r = 3 command never pays for it
+    code = "import sys, horofano.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_file_is_schema_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as Q
 
@@ -20,6 +21,7 @@ from horofano import (
     solve_soliton,
     synthetic_problem,
 )
+from horofano import kernels
 from horofano.continuity import ContinuityOptions, build_setup
 
 OPTS_FAST = ContinuityOptions(grid=801)
@@ -113,6 +115,44 @@ def test_solve_at_t_soliton_path_end(toric_m12, toric_m12_soliton):
     state = solve_at_t(toric_m12, 1.0, toric_m12_soliton, options=OPTS_FAST)
     assert state.residual_norm <= 1e-8
     assert abs(state.mass - 3.0) / 3.0 <= 1e-3
+
+
+def test_solve_at_t_without_init_is_the_sweep(toric_m12, toric_m12_soliton):
+    # one continuation loop: the cold solve returns the sweep's final state
+    state = solve_at_t(toric_m12, 1.0, toric_m12_soliton, options=OPTS_FAST)
+    trace = continuity_sweep(toric_m12, toric_m12_soliton, OPTS_FAST)
+    assert trace.reached_t1
+    assert state.t == 1.0
+    for f in dataclasses.fields(state):
+        assert np.array_equal(getattr(state, f.name), getattr(trace.final_state, f.name)), f.name
+
+
+def test_solve_at_t_names_the_sweep_termination(toric_m12):
+    trace = continuity_sweep(toric_m12, [0.0], OPTS_FAST)
+    assert not trace.reached_t1
+    with pytest.raises(SolverError, match=trace.termination):
+        solve_at_t(toric_m12, 1.0, [0.0], options=OPTS_FAST)
+
+
+def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
+    # a singular or non-finite tridiagonal system is a failed Newton solve:
+    # the sweep shrinks the step down to min_step and reports divergence
+    thomas = kernels.thomas
+    calls = {"n": 0}
+
+    def failing_after_first_states(*bands):
+        # the t0 solve takes 4 linear solves, so the first states are accepted
+        calls["n"] += 1
+        if calls["n"] > 50:
+            bands = list(bands)
+            bands[3] = np.full_like(bands[3], np.nan)
+        return thomas(*bands)
+
+    monkeypatch.setattr(kernels, "thomas", failing_after_first_states)
+    trace = continuity_sweep(toric_m12, [0.0], ContinuityOptions(grid=201))
+    assert trace.termination == "divergence"
+    assert len(trace.states) >= 1
+    assert trace.final_step < 2 * ContinuityOptions.min_step
 
 
 def test_sweep_symmetric_reaches_one():
