@@ -19,13 +19,14 @@ from .continuity import ContinuityOptions, ContinuityTrace, continuity_sweep, es
 from .dh import worker_count
 from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import (
+    MAX_DIM,
     ReflectivityReport,
     moment_polytope,
     polytope_from_json,
     polytope_to_json,
     validate_reflective,
 )
-from .problem import problem_from_root_data
+from .problem import HorosphericalProblem, problem_from_root_data
 from .rationals import format_rational, parse_rational
 from .ricci import greatest_ricci_lower_bound
 from .roots import build_root_system, parabolic_data
@@ -66,6 +67,10 @@ def _parse_matrix(obj, path: str):
         raise SchemaError("expected a matrix of rationals", path)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     """Read, schema-check and mathematically validate a problem file.
 
@@ -91,15 +96,24 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
         raise SchemaError("expected an object", "root_system")
     factors = rs.get("factors", [])
     torus_rank = rs.get("torus_rank", 0)
-    if not isinstance(factors, list) or not isinstance(torus_rank, int):
-        raise SchemaError("factors must be a list and torus_rank an integer", "root_system")
+    if not isinstance(factors, list):
+        raise SchemaError("expected a list of [family, rank] pairs", "root_system.factors")
+    if not _is_int(torus_rank):
+        raise SchemaError(f"expected an integer, got {torus_rank!r}", "root_system.torus_rank")
     for i, f in enumerate(factors):
-        if not (isinstance(f, (list, tuple)) and len(f) == 2):
-            raise SchemaError("each factor is a [family, rank] pair", f"root_system.factors[{i}]")
+        if not (isinstance(f, list) and len(f) == 2
+                and isinstance(f[0], str) and _is_int(f[1])):
+            raise SchemaError("each factor is a [family letter, integer rank] pair",
+                              f"root_system.factors[{i}]")
+    # every block's dimension is at least its rank: reject before building
+    if sum(f[1] for f in factors) + torus_rank > MAX_DIM:
+        raise MathValidationError(
+            f"character space dimension exceeds {MAX_DIM}", condition="dimension"
+        )
     rd = build_root_system([(f[0], f[1]) for f in factors], torus_rank)
 
     levi = data.get("levi_subset", [])
-    if not isinstance(levi, list) or not all(isinstance(i, int) for i in levi):
+    if not isinstance(levi, list) or not all(_is_int(i) for i in levi):
         raise SchemaError("expected a list of 1-based simple-root indices", "levi_subset")
     pd = parabolic_data(rd, levi)
 
@@ -257,8 +271,7 @@ def _trace_json(trace: ContinuityTrace):
     return out
 
 
-def run(command: str, loaded: LoadedProblem, out_path: str | None = None,
-        trace_path: str | None = None) -> dict:
+def run(command: str, loaded: LoadedProblem, trace_path: str | None = None) -> dict:
     """Execute one pipeline command and assemble the report dictionary."""
     hp = loaded.hp
     report: dict = {
@@ -303,16 +316,11 @@ def run(command: str, loaded: LoadedProblem, out_path: str | None = None,
         report["tight_facets"] = list(rb.tight_facets)
 
     if command in ("continuity", "all"):
-        if hp.a1_dim > 2:
-            if command == "continuity":
-                raise MathValidationError(
-                    "continuity solver supports r = 1 (and best-effort r = 2)",
-                    condition="dimension",
-                )
-            report["continuity"] = {"skipped": f"r = {hp.a1_dim} > 2"}
+        if hp.a1_dim > 1 and command == "all":
+            report["continuity"] = {"skipped": f"r = {hp.a1_dim} > 1"}
         else:
-            xi = sol.xi if sol is not None else [0.0] * hp.a1_dim
-            trace = continuity_sweep(hp, xi, loaded.options)
+            # the sweep rejects r > 1 with a MathValidationError (exit 3)
+            trace = continuity_sweep(hp, sol.xi, loaded.options)
             report["continuity"] = _trace_json(trace)
             if trace_path:
                 _trace_csv(trace, trace_path)
@@ -392,7 +400,7 @@ def main(argv=None) -> int:
             loaded.tol = args.tol
         if overrides:
             loaded.options = dataclasses.replace(opt, **overrides)
-        report = run(args.command, loaded, out_path=args.out, trace_path=args.trace)
+        report = run(args.command, loaded, trace_path=args.trace)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

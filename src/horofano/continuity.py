@@ -10,19 +10,17 @@ is fixed so that the mass identity  integral exp(-w_t) = V  holds at the
 continuous level for every t and every soliton parameter; the discrete solver
 inherits it as a diagnostic.
 
-The 1-D path is the supported one: damped Newton on a tridiagonal system,
-with convexity and gradient confinement verified on converged states (the
-line search gates on the merit, since transient tail dips at rounding scale
-would otherwise block legitimate steps) and the translation gauge deflated
-exactly at t = 1, where the continuous equation loses its position pinning.
-The 2-D path follows the same scheme with the 9-point Hessian-determinant
-stencil and is best-effort.
+The solver is one-dimensional (r = 1; any other r is a ``MathValidationError``
+with condition "dimension"): damped Newton on a tridiagonal system, with
+convexity and gradient confinement verified on converged states (the line
+search gates on the merit, since transient tail dips at rounding scale would
+otherwise block legitimate steps) and the translation gauge deflated exactly
+at t = 1, where the continuous equation loses its position pinning.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction as Q
 
@@ -106,14 +104,18 @@ class ReferencePotential:
         )
         self._check_grid()
 
+    def _rows(self, points) -> np.ndarray:
+        """Points as an (N, r) float array; a single point is one row."""
+        return np.asarray(points, dtype=np.float64).reshape(-1, self.vertices.shape[1])
+
     def value(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = self._rows(points)
         z = points @ self.vertices.T
         zmax = z.max(axis=1)
         return zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = self._rows(points)
         z = points @ self.vertices.T
         z -= z.max(axis=1)[:, None]
         w = np.exp(z)
@@ -121,7 +123,7 @@ class ReferencePotential:
         return w @ self.vertices
 
     def support(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = self._rows(points)
         return (points @ self.vertices.T).max(axis=1)
 
     def _check_grid(self) -> None:
@@ -158,13 +160,12 @@ def default_box(two_delta: Polytope, volume: float, xi_norm: float = 0.0) -> flo
 
 
 # ---------------------------------------------------------------------------
-# shared setup
+# setup
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ContinuitySetup:
-    hp: HorosphericalProblem
     xi: np.ndarray
     options: ContinuityOptions
     refpot: ReferencePotential
@@ -177,24 +178,21 @@ class ContinuitySetup:
     invc: float
     volume: float
     d0: float
-    r_in: float
     bcoef: np.ndarray
     boff: np.ndarray
-    qlo: float = 0.0
-    qhi: float = 0.0
-    conv_floor: float = 0.0
-    term_floor: float = 0.0
-    closed_l: bool = False
-    closed_r: bool = False
-    vconst: np.ndarray | None = None
+    qlo: float
+    qhi: float
+    conv_floor: float
+    term_floor: float
+    closed_l: bool
+    closed_r: bool
 
 
 def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> ContinuitySetup:
-    r = hp.a1_dim
-    if r not in (1, 2):
-        raise MathValidationError("continuity solver supports r = 1 (and best-effort r = 2)")
+    if hp.a1_dim != 1:
+        raise MathValidationError("continuity solver supports r = 1 only", condition="dimension")
     xi = np.asarray([float(v) for v in np.atleast_1d(xi)], dtype=np.float64)
-    if xi.shape != (r,):
+    if xi.shape != (1,):
         raise MathValidationError("soliton parameter has wrong dimension")
     two_delta = hp.two_delta()
     refpot = reference_potential(two_delta)
@@ -207,29 +205,32 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         raise MathValidationError("grid too coarse")
     axis = np.linspace(-box, box, n)
     h = axis[1] - axis[0]
-    # normalization fixed by the continuous mass identity: c = 2^r * V_xi / V
-    if np.all(xi == 0.0):
-        c_norm = float(2**r)
+    # normalization fixed by the continuous mass identity: c = 2 * V_xi / V
+    if xi[0] == 0.0:
+        c_norm = 2.0
     else:
         c_norm = (
-            2**r
+            2
             * weighted_mass(
                 hp, xi, rel_tol=options.quad_rel_tol, order=options.quad_order, workers=options.workers
             )
             / vol
         )
-    bcoef = np.array([[float(c) for c in f] for f in hp.density.forms]).reshape(
-        len(hp.density.forms), r
-    )
+    bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
-    d0 = max(
-        math.sqrt(sum(float(c) ** 2 for c in v)) for v in two_delta.vertices
-    )
-    r_in = min(
-        float(off) / math.sqrt(sum(float(c) ** 2 for c in n_)) for n_, off in two_delta.facets
-    )
-    setup = ContinuitySetup(
-        hp=hp,
+    d0 = max(abs(float(v[0])) for v in two_delta.vertices)
+    lo_vert = min(v[0] for v in two_delta.vertices)
+    hi_vert = max(v[0] for v in two_delta.vertices)
+    # the clamped boundary slope may sit on a wall of the density (exact
+    # rational test); the node equation degenerates there and is replaced
+    # by the affine-extension closure
+    closed_l = any(vdot(f, hp.kappa) - vdot(f, (lo_vert,)) / 2 == 0 for f in hp.density.forms)
+    closed_r = any(vdot(f, hp.kappa) - vdot(f, (hi_vert,)) / 2 == 0 for f in hp.density.forms)
+    # admissibility floors above the curvature noise the Newton solves induce
+    # on machine-affine tails (observed ~50x the pure representation noise)
+    uscale = max(1.0, d0 * box)
+    eps = np.finfo(float).eps
+    return ContinuitySetup(
         xi=xi,
         options=options,
         refpot=refpot,
@@ -237,43 +238,20 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         n=n,
         h=float(h),
         axis=axis,
-        u0=np.zeros(0),
+        u0=refpot.value(axis[:, None]),
         c_norm=c_norm,
         invc=1.0 / c_norm,
         volume=vol,
         d0=d0,
-        r_in=r_in,
         bcoef=bcoef,
         boff=boff,
+        qlo=float(lo_vert),
+        qhi=float(hi_vert),
+        conv_floor=4096.0 * eps * uscale / h**2,
+        term_floor=4096.0 * eps * uscale / h * float(max((abs(b) for b in bcoef), default=0.0)),
+        closed_l=closed_l,
+        closed_r=closed_r,
     )
-    # admissibility floors above the curvature noise the Newton solves induce
-    # on machine-affine tails (observed ~50x the pure representation noise)
-    uscale = max(1.0, d0 * box)
-    eps = np.finfo(float).eps
-    setup.conv_floor = 4096.0 * eps * uscale / h**2
-    setup.term_floor = 4096.0 * eps * uscale / h * float(
-        max((abs(b) for row in bcoef for b in row), default=0.0)
-    )
-    if r == 1:
-        setup.u0 = refpot.value(axis[:, None])
-        lo_vert = min(v[0] for v in two_delta.vertices)
-        hi_vert = max(v[0] for v in two_delta.vertices)
-        setup.qlo = float(lo_vert)
-        setup.qhi = float(hi_vert)
-        # the clamped boundary slope may sit on a wall of the density (exact
-        # rational test); the node equation degenerates there and is replaced
-        # by the affine-extension closure
-        for form in hp.density.forms:
-            if vdot(form, hp.kappa) - vdot(form, (lo_vert,)) / 2 == 0:
-                setup.closed_l = True
-            if vdot(form, hp.kappa) - vdot(form, (hi_vert,)) / 2 == 0:
-                setup.closed_r = True
-    else:
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        setup.u0 = refpot.value(pts).reshape(n, n)
-        setup.vconst = _extension_constants_2d(refpot, axis, h)
-    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +274,6 @@ class ContinuityState:
     centering: float
     newton_iterations: int
     gauge_defect: float = 0.0
-    convexity_deficit: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -332,7 +309,7 @@ class ContinuityTrace:
 
 
 # ---------------------------------------------------------------------------
-# 1-D solver
+# Newton solve and state
 # ---------------------------------------------------------------------------
 
 
@@ -347,13 +324,12 @@ def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray) -> np.ndarray:
     """
     w = t * u + (1.0 - t) * setup.u0
     wmin = float(np.min(w))
-    cell = setup.h ** setup.hp.a1_dim
-    mass = cell * float(np.sum(np.exp(-(w - wmin)))) * math.exp(-wmin)
+    mass = setup.h * float(np.sum(np.exp(-(w - wmin)))) * math.exp(-wmin)
     return u + math.log(mass / setup.volume) / t
 
 
 def _stencil_1d(setup: ContinuitySetup, u: np.ndarray):
-    return kernels.stencil_1d(u, setup.h, setup.qlo, setup.qhi, setup.bcoef[:, 0], setup.boff)
+    return kernels.stencil_1d(u, setup.h, setup.qlo, setup.qhi, setup.bcoef, setup.boff)
 
 
 def _thomas_transposed(lo, di, up, rhs):
@@ -377,11 +353,10 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
     opts = setup.options
     u = _rebalance(setup, t, init)
     xi0 = float(setup.xi[0])
-    bc = setup.bcoef[:, 0]
 
     def residual(vec, conv_extra=0.0):
         return kernels.residual_1d(
-            vec, setup.u0, setup.h, t, xi0, bc, setup.boff, setup.qlo, setup.qhi,
+            vec, setup.u0, setup.h, t, xi0, setup.bcoef, setup.boff, setup.qlo, setup.qhi,
             setup.invc, setup.conv_floor + conv_extra, setup.term_floor + conv_extra,
             setup.closed_l, setup.closed_r,
         )
@@ -480,7 +455,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
 
 
 def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, iters: int, gauge_defect: float = 0.0) -> ContinuityState:
-    h, n = setup.h, setup.n
+    h = setup.h
     w = t * u + (1.0 - t) * setup.u0
     imin = int(np.argmin(w))
     ew = np.exp(-w)
@@ -516,236 +491,6 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
 
 
 # ---------------------------------------------------------------------------
-# 2-D solver (best-effort)
-# ---------------------------------------------------------------------------
-
-
-def _extension_constants_2d(refpot: ReferencePotential, axis: np.ndarray, h: float) -> np.ndarray:
-    """v(ghost) - v(clipped node) on the (n+2)^2 extended grid; zero inside."""
-    n = axis.shape[0]
-    ext_axis = np.concatenate([[axis[0] - h], axis, [axis[-1] + h]])
-    mesh = np.meshgrid(ext_axis, ext_axis, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    v_ext = refpot.support(pts).reshape(n + 2, n + 2)
-    ci = np.clip(np.arange(n + 2) - 1, 0, n - 1)
-    v_clip = refpot.support(
-        np.stack(
-            [m.reshape(-1) for m in np.meshgrid(axis[ci], axis[ci], indexing="ij")], axis=1
-        )
-    ).reshape(n + 2, n + 2)
-    return v_ext - v_clip
-
-
-def _extended_2d(setup: ContinuitySetup, u: np.ndarray) -> np.ndarray:
-    n = setup.n
-    ci = np.clip(np.arange(n + 2) - 1, 0, n - 1)
-    return u[np.ix_(ci, ci)] + setup.vconst
-
-
-def _residual_2d(setup: ContinuitySetup, t: float, u: np.ndarray):
-    """Residual and stencil data; the last entry is the worst concavity on
-    the mass-carrying region (the 1e-8 level the box is built on).  Where the
-    right side underflows the equation cannot pin the curvature branch of
-    the determinant; the deficit is reported, not enforced, on this
-    best-effort path."""
-    h = setup.h
-    ue = _extended_2d(setup, u)
-    c = ue[1:-1, 1:-1]
-    uxx = (ue[2:, 1:-1] - 2 * c + ue[:-2, 1:-1]) / h**2
-    uyy = (ue[1:-1, 2:] - 2 * c + ue[1:-1, :-2]) / h**2
-    uxy = (ue[2:, 2:] - ue[2:, :-2] - ue[:-2, 2:] + ue[:-2, :-2]) / (4 * h**2)
-    ma = uxx * uyy - uxy**2
-    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2 * h)
-    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2 * h)
-    w = t * u + (1 - t) * setup.u0
-    dens = np.ones_like(u)
-    for k in range(setup.bcoef.shape[0]):
-        term = setup.boff[k] - 0.5 * (setup.bcoef[k, 0] * gx + setup.bcoef[k, 1] * gy)
-        if np.any(term < -setup.term_floor):
-            return None
-        dens *= term
-    rhs = np.exp(-w - gx * setup.xi[0] - gy * setup.xi[1])
-    f = ma * dens * setup.invc - rhs
-    active = rhs > 1e-8 * float(rhs.max())
-    deficit = max(0.0, float(-np.min(uxx[active])), float(-np.min(ma[active])))
-    return f, ma, uxx, uyy, uxy, gx, gy, dens, rhs, deficit
-
-
-def _jacobian_2d(setup: ContinuitySetup, t: float, parts) -> "object":
-    from scipy.sparse import coo_matrix
-
-    f, ma, uxx, uyy, uxy, gx, gy, dens, rhs, _ = parts
-    h, n = setup.h, setup.n
-    inv_h2 = 1.0 / h**2
-    inv_4h2 = 1.0 / (4 * h**2)
-    inv_2h = 1.0 / (2 * h)
-    nforms = setup.bcoef.shape[0]
-    sd_x = np.zeros_like(gx)
-    sd_y = np.zeros_like(gy)
-    all_terms = [
-        setup.boff[k] - 0.5 * (setup.bcoef[k, 0] * gx + setup.bcoef[k, 1] * gy)
-        for k in range(nforms)
-    ]
-    for k in range(nforms):
-        other = np.ones_like(gx)
-        for k2 in range(nforms):
-            if k2 != k:
-                other = other * all_terms[k2]
-        sd_x += -0.5 * setup.bcoef[k, 0] * other
-        sd_y += -0.5 * setup.bcoef[k, 1] * other
-    # coefficients of d/d(uxx), d/d(uyy), d/d(uxy), d/d(gx), d/d(gy), d/d(u)
-    a_xx = setup.invc * dens * uyy
-    a_yy = setup.invc * dens * uxx
-    a_xy = -2.0 * setup.invc * dens * uxy
-    a_gx = setup.invc * ma * sd_x + rhs * setup.xi[0]
-    a_gy = setup.invc * ma * sd_y + rhs * setup.xi[1]
-    rows, cols, vals = [], [], []
-    idx = np.arange(n * n).reshape(n, n)
-    ci = np.clip(np.arange(-1, n + 1), 0, n - 1)
-
-    def add(di, dj, coeff):
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ti = ci[ii + di + 1]
-        tj = ci[jj + dj + 1]
-        rows.append(idx.reshape(-1))
-        cols.append(idx[ti, tj].reshape(-1))
-        vals.append(np.broadcast_to(coeff, (n, n)).reshape(-1).copy())
-
-    add(1, 0, a_xx * inv_h2 + a_gx * inv_2h)
-    add(-1, 0, a_xx * inv_h2 - a_gx * inv_2h)
-    add(0, 1, a_yy * inv_h2 + a_gy * inv_2h)
-    add(0, -1, a_yy * inv_h2 - a_gy * inv_2h)
-    add(0, 0, -2.0 * (a_xx + a_yy) * inv_h2 + rhs * t)
-    add(1, 1, a_xy * inv_4h2)
-    add(-1, -1, a_xy * inv_4h2)
-    add(1, -1, -a_xy * inv_4h2)
-    add(-1, 1, -a_xy * inv_4h2)
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    ).tocsr()
-
-
-def _newton_2d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: bool = False):
-    """Gauss-Newton with Levenberg regularization (best-effort 2-D path).
-
-    The 9-point Hessian-determinant linearization develops exactly zero rows
-    on machine-affine corner regions of the box, so the step is computed from
-    the regularized normal equations instead of the raw Jacobian.
-    """
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import spsolve
-
-    opts = setup.options
-    u = _rebalance(setup, t, init)
-    parts = _residual_2d(setup, t, u)
-    if parts is None:
-        raise SolverError("initial iterate inadmissible", last_state=u)
-    nn = setup.n * setup.n
-
-    def try_step(delta, merit, allowance, halvings):
-        nonlocal u, parts
-        lam = 1.0
-        for _ in range(halvings):
-            trial = u + lam * delta
-            parts_t = _residual_2d(setup, t, trial)
-            if parts_t is not None:
-                f_t = parts_t[0]
-                if 0.5 * float(np.sum(f_t * f_t)) <= merit * (1.0 - 2e-4 * lam) + allowance:
-                    u, parts = trial, parts_t
-                    return True
-            lam *= 0.5
-        return False
-
-    mu = 0.0
-    for it in range(opts.max_newton):
-        f = parts[0]
-        rnorm = float(np.max(np.abs(f)))
-        if rnorm <= opts.tol:
-            return u, rnorm, it, 0.0
-        jac = _jacobian_2d(setup, t, parts).tocsr()
-        merit = 0.5 * float(np.sum(f * f))
-        allowance = 4.0 * np.finfo(float).eps * merit
-        accepted = False
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # spsolve warns on singular rows
-            delta = spsolve(jac.tocsc(), -f.reshape(-1))
-            if np.all(np.isfinite(delta)):
-                accepted = try_step(delta.reshape(setup.n, setup.n), merit, allowance, 4)
-            if not accepted:
-                jtj = (jac.T @ jac).tocsc()
-                jtf = jac.T @ f.reshape(-1)
-                scale = float(np.max(jtj.diagonal()))
-                mu = max(mu, 1e-10)
-                for _ in range(12):
-                    reg = jtj + mu * scale * identity(nn, format="csc")
-                    delta = spsolve(reg, -jtf).reshape(setup.n, setup.n)
-                    if try_step(delta, merit, allowance, 14):
-                        accepted = True
-                        mu /= 10.0
-                        break
-                    mu *= 20.0
-        if not accepted:
-            raise SolverError("Newton line search stagnated", last_state=u)
-    f = parts[0]
-    rnorm = float(np.max(np.abs(f)))
-    if rnorm <= opts.tol:
-        return u, rnorm, opts.max_newton, 0.0
-    raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
-
-
-def _state_2d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, iters: int, gauge_defect: float = 0.0) -> ContinuityState:
-    h, n = setup.h, setup.n
-    w = t * u + (1 - t) * setup.u0
-    flat = int(np.argmin(w))
-    i, j = divmod(flat, n)
-    ew = np.exp(-w)
-    interior_mass = float(h * h * np.sum(ew))
-    boundary = np.concatenate([ew[0, :], ew[-1, :], ew[1:-1, 0], ew[1:-1, -1]])
-    tail = float(h * np.sum(boundary) / setup.r_in)
-    ue = _extended_2d(setup, u)
-    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2 * h)
-    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2 * h)
-    grads = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    margin = math.inf
-    for normal, offset in setup.refpot.polytope.facets:
-        nf = np.array([float(c) for c in normal])
-        margin = min(margin, float((float(offset) - grads @ nf).min() / np.linalg.norm(nf)))
-    we = t * ue + (1 - t) * setup.refpot.value(
-        _ext_points_2d(setup)
-    ).reshape(n + 2, n + 2)
-    wgx = (we[2:, 1:-1] - we[:-2, 1:-1]) / (2 * h)
-    centering = float(h * h * np.sum(wgx * ew))
-    v_corner = float(setup.refpot.support(np.array([[setup.axis[-1], setup.axis[-1]]]))[0])
-    parts = _residual_2d(setup, t, u)
-    deficit = parts[-1] if parts is not None else math.inf
-    return ContinuityState(
-        t=t,
-        u=u,
-        w=w,
-        m_t=float(w[i, j]),
-        x_t=(float(setup.axis[i]), float(setup.axis[j])),
-        mass=interior_mass + tail,
-        residual_norm=rnorm,
-        sup_psi=float(np.max(u - setup.u0)),
-        boundary_offset=float(u[-1, -1] - v_corner),
-        grad_margin=margin,
-        centering=centering,
-        newton_iterations=iters,
-        gauge_defect=gauge_defect,
-        convexity_deficit=deficit,
-    )
-
-
-def _ext_points_2d(setup: ContinuitySetup) -> np.ndarray:
-    ext_axis = np.concatenate(
-        [[setup.axis[0] - setup.h], setup.axis, [setup.axis[-1] + setup.h]]
-    )
-    mesh = np.meshgrid(ext_axis, ext_axis, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-# ---------------------------------------------------------------------------
 # public driver
 # ---------------------------------------------------------------------------
 
@@ -759,19 +504,14 @@ def ma_residual(hp: HorosphericalProblem, u: np.ndarray, t: float, xi,
     rounding floors) are flagged in the mask."""
     if setup is None:
         setup = build_setup(hp, xi, options or ContinuityOptions())
-    if hp.a1_dim == 1:
-        u = np.asarray(u, dtype=np.float64)
-        f = kernels.residual_1d(
-            u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef[:, 0], setup.boff, setup.qlo,
-            setup.qhi, setup.invc, closed_l=setup.closed_l, closed_r=setup.closed_r,
-        )[0]
-        _, second, _, terms = _stencil_1d(setup, u)
-        mask = (second >= -setup.conv_floor) & np.all(terms >= -setup.term_floor, axis=1)
-        return f, mask
-    parts = _residual_2d(setup, t, np.asarray(u, dtype=np.float64))
-    if parts is None:
-        raise SolverError("potential inadmissible on the grid (gradient escaped)")
-    return parts[0], np.ones((setup.n, setup.n), dtype=bool)
+    u = np.asarray(u, dtype=np.float64)
+    f = kernels.residual_1d(
+        u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef, setup.boff, setup.qlo,
+        setup.qhi, setup.invc, closed_l=setup.closed_l, closed_r=setup.closed_r,
+    )[0]
+    _, second, _, terms = _stencil_1d(setup, u)
+    mask = (second >= -setup.conv_floor) & np.all(terms >= -setup.term_floor, axis=1)
+    return f, mask
 
 
 def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None = None,
@@ -798,12 +538,10 @@ def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None =
                 last_state=trace.final_state,
             )
         return trace.final_state
-    newton = _newton_1d if hp.a1_dim == 1 else _newton_2d
-    mkstate = _state_1d if hp.a1_dim == 1 else _state_2d
-    u, rnorm, iters, defect = newton(
-        setup, t, np.asarray(init, dtype=np.float64), force_gauge=hp.a1_dim == 1 and t >= 1.0
+    u, rnorm, iters, defect = _newton_1d(
+        setup, t, np.asarray(init, dtype=np.float64), force_gauge=t >= 1.0
     )
-    return mkstate(setup, t, u, rnorm, iters, defect)
+    return _state_1d(setup, t, u, rnorm, iters, defect)
 
 
 def continuity_sweep(hp: HorosphericalProblem, xi,
@@ -815,22 +553,20 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
 def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
     """The continuation loop: from min(t0, t_end) to t_end; its termination is
     "reached_t1" once t_end is reached (t_end is 1 for the public sweep)."""
-    hp, options = setup.hp, setup.options
+    options = setup.options
     trace = ContinuityTrace(
         volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n,
         xi=tuple(float(v) for v in setup.xi),
     )
-    solve = _newton_1d if hp.a1_dim == 1 else _newton_2d
-    mkstate = _state_1d if hp.a1_dim == 1 else _state_2d
 
     t = min(options.t0, t_end)
     try:
-        u, rnorm, iters, defect = solve(setup, t, setup.u0.copy())
+        u, rnorm, iters, defect = _newton_1d(setup, t, setup.u0.copy())
     except SolverError:
         trace.termination = "newton_failure"
         trace.final_step = 0.0
         return trace
-    state = mkstate(setup, t, u, rnorm, iters, defect)
+    state = _state_1d(setup, t, u, rnorm, iters, defect)
     if _escaped(state, setup, options):
         trace.termination = "divergence"
         trace.diverged_at = t
@@ -842,14 +578,15 @@ def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
     step = options.step0
     while t < t_end:
         t_try = min(t_end, t + step)
-        force = hp.a1_dim == 1 and t_try >= 1.0
         try:
-            u_new, rnorm, iters, defect = solve(setup, t_try, u.copy(), force_gauge=force)
-            candidate = mkstate(setup, t_try, u_new, rnorm, iters, defect)
+            u_new, rnorm, iters, defect = _newton_1d(
+                setup, t_try, u.copy(), force_gauge=t_try >= 1.0
+            )
+            candidate = _state_1d(setup, t_try, u_new, rnorm, iters, defect)
         except SolverError:
             step *= 0.5
             if step < options.min_step:
-                if hp.a1_dim == 1 and t_end >= 1.0 and 1.0 - t < 0.01:
+                if t_end >= 1.0 and 1.0 - t < 0.01:
                     # the gauge-stiff band just below t = 1 can be
                     # un-navigable by continuation at coarse grids; the
                     # endpoint itself is still solvable with the translation
@@ -858,7 +595,7 @@ def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
                         u_new, rnorm, iters, defect = _newton_1d(
                             setup, 1.0, u.copy(), force_gauge=True
                         )
-                        state = mkstate(setup, 1.0, u_new, rnorm, iters, defect)
+                        state = _state_1d(setup, 1.0, u_new, rnorm, iters, defect)
                         if not _escaped(state, setup, options):
                             trace.states.append(_summary(state, 1.0 - t))
                             trace.final_state = state

@@ -203,6 +203,8 @@ def from_halfspaces(halfspaces) -> Polytope:
     dim = len(cleaned[0][0])
     if not 1 <= dim <= MAX_DIM:
         raise MathValidationError(f"ambient dimension {dim} outside 1..{MAX_DIM}")
+    if any(len(normal) != dim for normal, _ in cleaned):
+        raise MathValidationError("inconsistent coordinate lengths")
     cleaned = sorted(set(cleaned))
     _check_unbounded(cleaned, dim)
     vertices = _vertices_from_facets(cleaned, dim)

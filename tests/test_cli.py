@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horofano import dh
 from horofano.cli import load_problem, main
@@ -301,7 +303,7 @@ def test_a2_levi_three_dimensional_pipeline(tmp_path):
     out2 = tmp_path / "all.json"
     assert main(["all", "--input", src_path, "--out", str(out2)]) == 0
     report2 = json.loads(out2.read_text())
-    assert report2["continuity"] == {"skipped": "r = 3 > 2"}
+    assert report2["continuity"] == {"skipped": "r = 3 > 1"}
     assert main(["continuity", "--input", src_path]) == 3
 
 
@@ -327,3 +329,128 @@ def test_all_nontoric_density_chain(tmp_path):
     assert report["ke"] is False
     assert report["continuity"]["reached_t1"] is True
     assert report["continuity"]["mass_max_rel_err"] <= 1e-3
+
+
+P2 = {
+    "root_system": {"factors": [], "torus_rank": 2},
+    "levi_subset": [],
+    "polytope": {"moment": {"vertices": [["-1", "-1"], ["2", "-1"], ["-1", "2"]]}},
+}
+
+
+def test_continuity_two_dimensional_is_validation_error(tmp_path, capsys):
+    # default options (grid 2001): rejected before any grid is built
+    assert main(["continuity", "--input", write(tmp_path, P2)]) == 3
+    err = capsys.readouterr().err
+    assert "continuity solver supports r = 1 only" in err
+    assert "Traceback" not in err
+
+
+def test_all_two_dimensional_records_skip(tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["all", "--input", write(tmp_path, REFLECTIVE_SQUARE), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["continuity"] == {"skipped": "r = 2 > 1"}
+    assert report["R"] == "1"
+
+
+@pytest.mark.parametrize("root_system,code", [
+    ({"factors": [["A", "x"]]}, 2),
+    ({"factors": [["A", ""]]}, 2),
+    ({"factors": [["A", "1/0"]]}, 2),
+    ({"factors": [["A", None]]}, 2),
+    ({"factors": [["A", {}]]}, 2),
+    ({"factors": [["A", 1.5]]}, 2),
+    ({"factors": [["A", True]]}, 2),
+    ({"factors": [[None, 1]]}, 2),
+    ({"factors": [], "torus_rank": True}, 2),
+    ({"factors": [], "torus_rank": "1"}, 2),
+    ({"factors": {}, "torus_rank": 1}, 2),
+    ({"factors": [], "torus_rank": 10**6}, 3),
+    ({"factors": [["A", 300]]}, 3),
+    ({"factors": [["A", 2]], "torus_rank": 2}, 3),
+])
+def test_root_system_checked_before_building(tmp_path, capsys, root_system, code):
+    spec = dict(TORIC_M12, root_system=root_system)
+    assert main(["validate", "--input", write(tmp_path, spec)]) == code
+    err = capsys.readouterr().err
+    assert ("root_system" in err) if code == 2 else ("dimension exceeds 3" in err)
+    assert "Traceback" not in err
+
+
+def test_levi_index_bool_is_schema_error(tmp_path):
+    spec = dict(A2_LEVI, levi_subset=[True])
+    assert main(["validate", "--input", write(tmp_path, spec)]) == 2
+
+
+def test_ragged_facet_normals_are_validation_error(tmp_path):
+    spec = dict(TORIC_M12, polytope={"moment": {"facets": [
+        {"normal": ["1", "0"], "offset": "2"},
+        {"normal": ["-1", "0", "0"], "offset": "1"},
+    ]}})
+    assert main(["validate", "--input", write(tmp_path, spec)]) == 3
+
+
+B1_HALF_3 = {
+    "root_system": {"factors": [["B", 1]], "torus_rank": 0},
+    "levi_subset": [],
+    "polytope": {"moment": {"vertices": [["1/2"], ["3"]]}},
+    "options": {"grid": 1201},
+}
+
+A2_FACET_BOX = {
+    "root_system": {"factors": [["A", 2]], "torus_rank": 0},
+    "levi_subset": [1],
+    "polytope": {"moment": {"facets": [
+        {"normal": ["1", "0", "0"], "offset": "5/4"},
+        {"normal": ["-1", "0", "0"], "offset": "-3/4"},
+        {"normal": ["0", "1", "0"], "offset": "5/4"},
+        {"normal": ["0", "-1", "0"], "offset": "-3/4"},
+        {"normal": ["0", "0", "1"], "offset": "-7/4"},
+        {"normal": ["0", "0", "-1"], "offset": "9/4"},
+    ]}},
+}
+
+FUZZ_BASES = (TORIC_M12, B1_HALF_3, REFLECTIVE_SQUARE, A2_FACET_BOX)
+FUZZ_VALUES = ("x", "", "1/0", -1, 0, 10**6, 1.5, True, None, [], {},
+               [["1"], ["1", "2"]], ["1", ["2"]])
+
+
+def _paths(node, prefix=()):
+    """Every position below the root of a JSON value, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def test_fuzz_bases_are_valid(tmp_path):
+    for i, base in enumerate(FUZZ_BASES):
+        assert main(["invariants", "--input", write(tmp_path, base, f"base{i}.json")]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_fuzz(tmp_path_factory, data):
+    # any mutation of a valid problem is accepted or rejected through the
+    # documented exit codes; an exception escaping main fails the test
+    spec = data.draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(spec))))
+        spec = _replaced(spec, path, data.draw(st.sampled_from(FUZZ_VALUES)))
+    command = data.draw(st.sampled_from(["validate", "invariants"]))
+    src_path = write(tmp_path_factory.mktemp("fuzz"), spec)
+    assert main([command, "--input", src_path]) in (0, 2, 3, 4)

@@ -256,24 +256,17 @@ def test_gauge_defect_scales_like_h2(toric_m12, toric_m12_soliton):
     assert 2.0 < ratio < 8.0  # halving h divides the broken-symmetry defect ~4x
 
 
-def test_two_dimensional_best_effort_square():
+def test_two_dimensional_problem_rejected():
+    # the solver is one-dimensional: every entry point refuses r = 2 before
+    # it builds a grid
     sq = synthetic_problem(from_vertices([(-1, -1), (1, -1), (-1, 1), (1, 1)]))
-    state = solve_at_t(sq, 0.3, [0.0, 0.0],
-                       options=ContinuityOptions(grid=61, box=9.0, tol=1e-7))
-    v = float(sq.volume)
-    assert state.residual_norm <= 1e-7
-    assert abs(state.mass - v) / v < 5e-3
-    assert state.x_t == (0.0, 0.0)
-    assert state.convexity_deficit < 1.0  # reported, concave tail branch allowed
-
-
-def test_two_dimensional_sweep_symmetric():
-    sq = synthetic_problem(from_vertices([(-1, -1), (1, -1), (-1, 1), (1, 1)]))
-    trace = continuity_sweep(
-        sq, [0.0, 0.0], ContinuityOptions(grid=41, box=9.0, tol=1e-7, max_newton=80)
-    )
-    assert trace.reached_t1
-    v = trace.volume
-    assert all(abs(s.mass - v) / v <= 5e-3 for s in trace.states)
-    ts = [s.t for s in trace.states]
-    assert ts == sorted(ts) and len(set(ts)) == len(ts)  # strictly increasing
+    calls = [
+        lambda: continuity_sweep(sq, [0.0, 0.0]),
+        lambda: solve_at_t(sq, 0.3, [0.0, 0.0]),
+        lambda: solve_at_t(sq, 0.3, [0.0, 0.0], init=np.zeros((41, 41))),
+        lambda: ma_residual(sq, np.zeros((41, 41)), 0.3, [0.0, 0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(MathValidationError) as info:
+            call()
+        assert info.value.condition == "dimension"
