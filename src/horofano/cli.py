@@ -15,8 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .continuity import ContinuityOptions, ContinuityTrace, continuity_sweep, estimate_rm_numeric
-from .dh import worker_count
+from .continuity import ContinuityOptions, ContinuityTrace, continuity_sweep
 from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import (
     MAX_DIM,
@@ -39,6 +38,9 @@ CONVENTION = (
 )
 
 COMMANDS = ("validate", "invariants", "soliton", "ricci-bound", "continuity", "all")
+OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(ContinuityOptions))
+# options that a command-line flag of the same name overrides
+FLAG_OPTIONS = ("grid", "box", "t0", "quad_order", "tol")
 
 
 @dataclass
@@ -177,12 +179,8 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise SchemaError("expected an object", "options")
-    known = {
-        "tol", "grid", "box", "t0", "quad_order", "quad_rel_tol", "step0",
-        "max_step", "min_step", "window",
-    }
     for key in opts:
-        if key not in known:
+        if key not in OPTION_NAMES:
             raise SchemaError(f"unknown option {key!r}", "options")
     options = ContinuityOptions(**opts)
     # soliton solves default to 1e-10; the continuity solver's default stays
@@ -261,19 +259,14 @@ def _trace_json(trace: ContinuityTrace):
                                 max(s.sup_psi for s in trace.states)]
     if trace.diverged_at is not None:
         out["diverged_at"] = trace.diverged_at
-    zero_field = all(v == 0.0 for v in trace.xi)
-    if trace.termination == "divergence" and trace.states and zero_field:
-        # the divergence point estimates the Ricci bound only on the
-        # zero-field deformation path
-        est, unc = estimate_rm_numeric(trace)
-        out["rm_numeric_estimate"] = est
-        out["rm_numeric_uncertainty"] = unc
     return out
 
 
 def run(command: str, loaded: LoadedProblem, trace_path: str | None = None) -> dict:
     """Execute one pipeline command and assemble the report dictionary."""
     hp = loaded.hp
+    if command == "continuity" and hp.a1_dim > 1:
+        raise MathValidationError("continuity solver supports r = 1 only", condition="dimension")
     report: dict = {
         "tool": "horofano",
         "version": __version__,
@@ -316,10 +309,9 @@ def run(command: str, loaded: LoadedProblem, trace_path: str | None = None) -> d
         report["tight_facets"] = list(rb.tight_facets)
 
     if command in ("continuity", "all"):
-        if hp.a1_dim > 1 and command == "all":
+        if hp.a1_dim > 1:  # only ``all`` gets here: ``continuity`` was rejected above
             report["continuity"] = {"skipped": f"r = {hp.a1_dim} > 1"}
         else:
-            # the sweep rejects r > 1 with a MathValidationError (exit 3)
             trace = continuity_sweep(hp, sol.xi, loaded.options)
             report["continuity"] = _trace_json(trace)
             if trace_path:
@@ -347,11 +339,6 @@ def _summary_lines(report: dict) -> list[str]:
         else:
             lines.append(
                 f"continuity: {c['termination']} after {c['steps_accepted']} accepted steps"
-            )
-        if "rm_numeric_estimate" in c:
-            lines.append(
-                f"numeric R estimate = {c['rm_numeric_estimate']:.4f} "
-                f"+- {c['rm_numeric_uncertainty']:.4f}"
             )
     return lines
 
@@ -383,23 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        worker_count()  # reject a malformed HOROFANO_THREADS before any work
         loaded = load_problem(args.input, strict=args.command != "validate")
-        opt = loaded.options
-        overrides = {}
-        if args.grid is not None:
-            overrides["grid"] = args.grid
-        if args.box is not None:
-            overrides["box"] = args.box
-        if args.t0 is not None:
-            overrides["t0"] = args.t0
-        if args.quad_order is not None:
-            overrides["quad_order"] = args.quad_order
+        overrides = {
+            name: getattr(args, name) for name in FLAG_OPTIONS if getattr(args, name) is not None
+        }
+        loaded.options = dataclasses.replace(loaded.options, **overrides)
         if args.tol is not None:
-            overrides["tol"] = args.tol
             loaded.tol = args.tol
-        if overrides:
-            loaded.options = dataclasses.replace(opt, **overrides)
         report = run(args.command, loaded, trace_path=args.trace)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -35,6 +35,10 @@ from .soliton import weighted_mass
 
 
 _POSITIVE_OPTIONS = ("tol", "step0", "max_step", "min_step", "window", "box", "quad_rel_tol")
+# quadrature orders a run may ask for: the default start order is the density
+# degree + 20 (at most 29 for r <= 3) and three refinements add at most 28
+QUAD_ORDER_MIN, QUAD_ORDER_MAX = 4, 64
+MAX_NEWTON = 60  # Newton iterations per solve at one t
 
 
 @dataclass(frozen=True)
@@ -44,28 +48,27 @@ class ContinuityOptions:
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
     number, a fractional count, t0 outside (0, 1] or a non-positive
-    tolerance, step, window or box is a ``SchemaError`` naming the option.
+    tolerance, step, window or box, or a ``quad_order`` outside
+    [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a ``SchemaError`` naming the option.
     """
 
     grid: int = 2001
     box: float | None = None
     t0: float = 0.1
     tol: float = 1e-9
-    max_newton: int = 60
     step0: float = 0.05
     max_step: float = 0.1
     min_step: float = 1e-4
     window: float = 0.8
     quad_rel_tol: float = 1e-12
     quad_order: int | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name in ("box", "quad_order", "workers"):
+            if value is None and f.name in ("box", "quad_order"):
                 continue
-            kind = int if f.name in ("grid", "max_newton", "quad_order", "workers") else float
+            kind = int if f.name in ("grid", "quad_order") else float
             try:
                 num = kind(value)
                 ok = (not isinstance(value, bool) and math.isfinite(num)
@@ -79,6 +82,11 @@ class ContinuityOptions:
                 raise SchemaError(f"must lie in (0, 1], got {num!r}", "options.t0")
             if f.name in _POSITIVE_OPTIONS and not num > 0:
                 raise SchemaError(f"must be positive, got {num!r}", f"options.{f.name}")
+            if f.name == "quad_order" and not QUAD_ORDER_MIN <= num <= QUAD_ORDER_MAX:
+                raise SchemaError(
+                    f"must lie in [{QUAD_ORDER_MIN}, {QUAD_ORDER_MAX}], got {num!r}",
+                    "options.quad_order",
+                )
             object.__setattr__(self, f.name, num)
 
 
@@ -211,9 +219,7 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     else:
         c_norm = (
             2
-            * weighted_mass(
-                hp, xi, rel_tol=options.quad_rel_tol, order=options.quad_order, workers=options.workers
-            )
+            * weighted_mass(hp, xi, rel_tol=options.quad_rel_tol, order=options.quad_order)
             / vol
         )
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
@@ -395,7 +401,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
         g = g / np.linalg.norm(g)
         return sigma, g, x
 
-    for it in range(opts.max_newton):
+    for it in range(MAX_NEWTON):
         # gauge deflation is an endpoint device: at t = 1 exactly the
         # translation symmetry is exact and the grid-level defect cannot be
         # reduced; below t = 1 the translation carries real physics (the
@@ -450,7 +456,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
         if not ok:
             _, _, _, _, ok = residual(u, conv_extra=20.0 * abs(defect) * setup.c_norm)
         if ok:
-            return u, rnorm, opts.max_newton, abs(defect)
+            return u, rnorm, MAX_NEWTON, abs(defect)
     raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
 
 

@@ -16,8 +16,6 @@ simplex and every call, and each call only maps them affinely.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial
@@ -25,7 +23,7 @@ from math import factorial
 import numpy as np
 
 from . import kernels
-from .errors import MathValidationError, QuadratureError, SchemaError
+from .errors import MathValidationError, QuadratureError
 from .polytopes import Polytope, Simplex, triangulate
 from .rationals import Vec, vdot
 
@@ -46,12 +44,6 @@ class DHDensity:
     @property
     def degree(self) -> int:
         return len(self.forms)
-
-    def value(self, point: Vec) -> Q:
-        out = Q(1)
-        for f in self.forms:
-            out *= vdot(f, point)
-        return out
 
     def nonnegative_on(self, polytope: Polytope) -> bool:
         return all(vdot(f, v) >= 0 for f in self.forms for v in polytope.vertices)
@@ -255,7 +247,8 @@ def _unit_simplex_nodes(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         wj = ws * jac
         u.flags.writeable = False
         wj.flags.writeable = False
-        # threads racing on a missing key build equal arrays; keep the first
+        # callers on several threads racing on a missing key build equal
+        # arrays; keep the first
         _UNIT_NODES.setdefault(key, (u, wj))
     return _UNIT_NODES[key]
 
@@ -268,25 +261,6 @@ def _simplex_nodes(verts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     detedge = abs(float(np.linalg.det(edges))) if r > 1 else abs(float(edges[0, 0]))
     points = verts[0][None, :] + u @ edges
     return points, wj * detedge
-
-
-def worker_count(workers=None) -> int:
-    """Integration threads: ``workers`` if given, else ``HOROFANO_THREADS``,
-    else 1.  The variable must be a positive integer."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("HOROFANO_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise SchemaError(
-            f"must be a positive integer, got {env!r}", "HOROFANO_THREADS"
-        )
-    return n
 
 
 def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
@@ -322,7 +296,6 @@ def weighted_moments(
     order: int | None = None,
     rel_tol: float = DEFAULT_QUAD_REL_TOL,
     max_refine: int = 3,
-    workers: int | None = None,
 ) -> WeightedMoments:
     """Exponential-weighted moments of the density measure over the polytope.
 
@@ -346,23 +319,19 @@ def weighted_moments(
     ]
     m = order if order is not None else density.degree + DEFAULT_QUAD_EXTRA
     m = max(4, int(m))
-    nworkers = worker_count(workers)
 
-    def one(task):
-        verts, mm = task
-        pts, wts = _simplex_nodes(verts, mm)
-        return kernels.quad_moments(pts, wts, forms, offs, ell)
+    def summed(n):
+        """Compensated sum of the order-n moments over the simplices."""
+        parts = []
+        for verts in fverts:
+            pts, wts = _simplex_nodes(verts, n)
+            i0, i1, i2 = kernels.quad_moments(pts, wts, forms, offs, ell)
+            parts.append((i0, np.asarray(i1), np.asarray(i2)))
+        return _neumaier_reduce(parts)
 
     last_err = float("inf")
     for _ in range(max_refine + 1):
-        tasks = [(v, m) for v in fverts] + [(v, m + 4) for v in fverts]
-        if nworkers > 1:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(one, tasks))
-        else:
-            results = [one(t) for t in tasks]
-        lo = _neumaier_reduce([(a, np.asarray(b), np.asarray(c)) for a, b, c in results[: len(fverts)]])
-        hi = _neumaier_reduce([(a, np.asarray(b), np.asarray(c)) for a, b, c in results[len(fverts) :]])
+        lo, hi = summed(m), summed(m + 4)
         scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
         last_err = max(
             abs(hi[0] - lo[0]),

@@ -50,11 +50,6 @@ class Polytope:
                 return False
         return True
 
-    def tight_facets(self, point: Vec) -> tuple[int, ...]:
-        return tuple(
-            i for i, (n, off) in enumerate(self.facets) if vdot(n, point) == off
-        )
-
     def translate(self, shift: Vec) -> "Polytope":
         return Polytope(
             dim=self.dim,

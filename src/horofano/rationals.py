@@ -8,14 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
-
-
-def vec(values: Iterable) -> Vec:
-    return tuple(Q(v) for v in values)
 
 
 def zero_vec(dim: int) -> Vec:
@@ -28,10 +24,6 @@ def vadd(x: Vec, y: Vec) -> Vec:
 
 def vsub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vneg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
 
 
 def vscale(c, x: Vec) -> Vec:

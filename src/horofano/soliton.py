@@ -53,9 +53,7 @@ class SolitonSolution:
     hessian_min_eig: float
 
 
-def solve_soliton(
-    hp: HorosphericalProblem, tol: float = 1e-10, max_iter: int = MAX_ITER, **quad
-) -> SolitonSolution:
+def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> SolitonSolution:
     """Damped Newton on G from xi = 0 until |F(xi)| <= tol * volume."""
     r = hp.a1_dim
     kappa = np.array([float(c) for c in hp.kappa])
@@ -69,7 +67,7 @@ def solve_soliton(
         return i0, f, hess
 
     g, f, hess = eval_all(xi)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         resid = float(np.linalg.norm(f))
         if resid <= tol * vol:
             return SolitonSolution(
@@ -95,7 +93,7 @@ def solve_soliton(
         xi = xi + lam * step
         g, f, hess = eval_all(xi)
     raise SolverError(
-        f"soliton Newton did not reach |F| <= {tol:g}*V in {max_iter} iterations "
+        f"soliton Newton did not reach |F| <= {tol:g}*V in {MAX_ITER} iterations "
         "(is kappa interior to the moment polytope?)",
         last_state=xi,
     )

@@ -180,16 +180,6 @@ def test_weighted_moments_tolerance_error():
     assert err.value.estimate > 0
 
 
-def test_worker_count_determinism():
-    p = from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
-    dens = density_from_forms([(1, 0)])
-    m1 = weighted_moments(p, dens, [0.3, -0.2], workers=1)
-    m4 = weighted_moments(p, dens, [0.3, -0.2], workers=4)
-    assert m1.i0 == m4.i0
-    assert np.array_equal(m1.i1, m4.i1)
-    assert np.array_equal(m1.i2, m4.i2)
-
-
 def test_randomized_polytopes_against_monte_carlo(rng):
     # dims 1-3, densities of degree <= 3, exact integrals within 4 sigma
     for trial in range(8):
