@@ -1,8 +1,9 @@
 """Problem ingestion, validation orchestration and report/trace emission.
 
-Exit codes: 0 success, 2 malformed input (schema), 3 mathematical validation
-failure, 4 solver/quadrature failure.  Reports are deterministic: exact values
-are serialized as 'p/q' strings, keys are sorted, and no timestamps appear.
+Exit codes: 0 success, 2 malformed input (schema) or an unwritable ``--out``
+/ ``--trace`` path, 3 mathematical validation failure, 4 solver/quadrature
+failure.  Reports are deterministic: exact values are serialized as 'p/q'
+strings, keys are sorted, and no timestamps appear.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -234,8 +236,27 @@ def _trace_csv(trace: ContinuityTrace, path: str) -> None:
         lines.append(
             f"{s.t!r},{s.m_t!r},{xs},{s.mass!r},{s.residual!r},{s.sup_psi!r},{s.step!r}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n", "--trace")
+
+
+def _check_writable(path: str | None, flag: str) -> None:
+    """Reject an output path before any work runs: its directory must exist
+    and the path itself must not be a directory."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise SchemaError(f"cannot write {path!r}: no directory {parent!r}", flag)
+    if os.path.isdir(path):
+        raise SchemaError(f"cannot write {path!r}: it is a directory", flag)
+
+
+def _write_text(path: str, text: str, flag: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output: {exc}", flag)
 
 
 def _trace_json(trace: ContinuityTrace):
@@ -346,8 +367,7 @@ def _summary_lines(report: dict) -> list[str]:
 def _write_report(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out, "--out")
+        _check_writable(args.trace, "--trace")
         loaded = load_problem(args.input, strict=args.command != "validate")
         overrides = {
             name: getattr(args, name) for name in FLAG_OPTIONS if getattr(args, name) is not None
@@ -378,6 +400,7 @@ def main(argv=None) -> int:
         if args.tol is not None:
             loaded.tol = args.tol
         report = run(args.command, loaded, trace_path=args.trace)
+        _write_report(report, args.out)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -387,7 +410,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    _write_report(report, args.out)
     for line in _summary_lines(report):
         print(line)
     reflectivity = report["validation"]["reflectivity"]

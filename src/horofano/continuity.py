@@ -360,16 +360,29 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
     u = _rebalance(setup, t, init)
     xi0 = float(setup.xi[0])
 
-    def residual(vec, conv_extra=0.0):
+    # every line-search trial evaluates the residual; the Jacobian bands and
+    # the admissibility flag are built only for the iterates it accepts
+    def residual(vec):
         return kernels.residual_1d(
             vec, setup.u0, setup.h, t, xi0, setup.bcoef, setup.boff, setup.qlo, setup.qhi,
-            setup.invc, setup.conv_floor + conv_extra, setup.term_floor + conv_extra,
-            setup.closed_l, setup.closed_r,
+            setup.invc, setup.closed_l, setup.closed_r,
         )
 
-    f, lo, di, up, ok = residual(u)
+    def jacobian(parts):
+        return kernels.jacobian_1d(
+            parts, setup.h, t, xi0, setup.bcoef, setup.invc, setup.closed_l, setup.closed_r
+        )
+
+    def admissible(parts, extra=0.0):
+        return bool(np.all(kernels.admissible_1d(
+            parts[0], parts[1], setup.conv_floor + extra, setup.term_floor + extra
+        )))
+
+    f, parts = residual(u)
+    ok = admissible(parts)
     if not ok:
         raise SolverError("initial iterate inadmissible", last_state=u)
+    lo, di, up = jacobian(parts)
 
     def translation_vector(vec):
         grad = _stencil_1d(setup, vec)[2]
@@ -416,7 +429,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             if not ok:
                 # the state solves the equation modulo the broken-symmetry
                 # defect, so its curvature is clean only to the same scale
-                _, _, _, _, ok = residual(u, conv_extra=20.0 * abs(defect) * setup.c_norm)
+                ok = admissible(parts, 20.0 * abs(defect) * setup.c_norm)
             if not ok:
                 raise SolverError(
                     "converged state violates convexity or gradient confinement",
@@ -439,12 +452,14 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
         lam = 1.0
         for _ in range(22):
             trial = u + lam * delta
-            f_t, lo_t, di_t, up_t, ok_t = residual(trial)
+            f_t, parts_t = residual(trial)
             f_t_red, _ = split(f_t)
             with np.errstate(over="ignore"):  # rejected trials may overflow
                 merit_t = 0.5 * float(f_t_red @ f_t_red)
             if merit_t <= merit * (1.0 - 2e-4 * lam) + allowance:
-                u, f, lo, di, up, ok = trial, f_t, lo_t, di_t, up_t, ok_t
+                u, f, parts = trial, f_t, parts_t
+                lo, di, up = jacobian(parts)
+                ok = admissible(parts)
                 accepted = True
                 break
             lam *= 0.5
@@ -454,7 +469,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
     rnorm = float(np.max(np.abs(f_red)))
     if rnorm <= opts.tol:
         if not ok:
-            _, _, _, _, ok = residual(u, conv_extra=20.0 * abs(defect) * setup.c_norm)
+            ok = admissible(parts, 20.0 * abs(defect) * setup.c_norm)
         if ok:
             return u, rnorm, MAX_NEWTON, abs(defect)
     raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
@@ -511,13 +526,11 @@ def ma_residual(hp: HorosphericalProblem, u: np.ndarray, t: float, xi,
     if setup is None:
         setup = build_setup(hp, xi, options or ContinuityOptions())
     u = np.asarray(u, dtype=np.float64)
-    f = kernels.residual_1d(
+    f, (second, terms, _, _) = kernels.residual_1d(
         u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef, setup.boff, setup.qlo,
-        setup.qhi, setup.invc, closed_l=setup.closed_l, closed_r=setup.closed_r,
-    )[0]
-    _, second, _, terms = _stencil_1d(setup, u)
-    mask = (second >= -setup.conv_floor) & np.all(terms >= -setup.term_floor, axis=1)
-    return f, mask
+        setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
+    )
+    return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
 
 
 def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None = None,

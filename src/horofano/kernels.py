@@ -1,5 +1,9 @@
-"""Hot numeric kernels: quadrature moments, the 1-D residual and its
-tridiagonal Jacobian, and the tridiagonal solve.
+"""Hot numeric kernels: quadrature moments, the 1-D residual, its
+tridiagonal Jacobian and admissibility mask, and the tridiagonal solve.
+
+The 1-D residual is evaluated on every Newton line-search trial; the
+Jacobian bands and the admissibility mask are built from the parts it
+returns, only for the iterates the line search accepts.
 
 Everything is numpy, except the tridiagonal solve, which calls LAPACK
 ``dgtsv`` (LU with partial pivoting) through scipy.  scipy is imported inside
@@ -54,33 +58,53 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff):
     return uext, second, grad, terms
 
 
-def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
-                conv_floor=0.0, term_floor=0.0, closed_l=False, closed_r=False):
-    """Residual of the normalized discrete 1-D equation plus its tridiagonal
-    Jacobian: F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi).
+def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False, closed_r=False):
+    """Residual of the normalized discrete 1-D equation,
+    F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi), on the stencil
+    ``stencil_1d``.
 
-    The stencil is ``stencil_1d``.  Returns (residual, lower, diag, upper,
-    admissible); the residual and Jacobian are always fully computed, and the
-    flag reports whether second differences and density factors are
-    nonnegative up to the given rounding floors (the potential is
-    machine-affine deep in the tails, and Newton iterates may dip below zero
-    there transiently).
+    The Newton line search calls this on every trial.  Returns (f, parts):
+    parts = (second, terms, dens, rhs) are the second differences, density
+    factors, density (the scalar 1.0 when there are no forms) and
+    exponential term at every node, from which ``jacobian_1d`` assembles the
+    bands of an accepted iterate without recomputing them.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     u0 = np.ascontiguousarray(u0, dtype=np.float64)
     bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
     boff = np.ascontiguousarray(boff, dtype=np.float64)
     h, t, xi, invc = float(h), float(t), float(xi), float(invc)
-    n = u.shape[0]
     _, second, grad, terms = stencil_1d(u, h, float(qlo), float(qhi), bcoef, boff)
-    ok = bool(np.all(second >= -float(conv_floor)) and np.all(terms >= -float(term_floor)))
-    dens = np.prod(terms, axis=1)
+    if bcoef.shape[0]:
+        dens = np.prod(terms, axis=1)
+        curv = second * dens
+    else:  # no density forms: the density is 1 and multiplying by it is exact
+        dens = 1.0
+        curv = second
     w = t * u + (1.0 - t) * u0
     # far-off line-search trials may overflow the exponential; the resulting
     # inf/nan entries fail the merit comparison and the trial is rejected
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.exp(-w - grad * xi)
-        f = second * dens * invc - rhs
+        f = curv * invc - rhs
+    if closed_l:
+        # density vanishes structurally at the clamped boundary slope: the
+        # node equation degenerates, so impose the affine-extension closure
+        f[0] = second[0]
+    if closed_r:
+        f[-1] = second[-1]
+    return f, (second, terms, dens, rhs)
+
+
+def jacobian_1d(parts, h, t, xi, bcoef, invc, closed_l=False, closed_r=False):
+    """Tridiagonal Jacobian (lower, diag, upper) of ``residual_1d`` at the
+    iterate whose ``parts`` it returned; Newton builds it only for the
+    iterates its line search accepts."""
+    second, terms, dens, rhs = parts
+    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
+    h, t, xi, invc = float(h), float(t), float(xi), float(invc)
+    n = second.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
         # d(dens)/d(grad) by the product rule (terms may legitimately vanish
         # on the boundary of the gradient polytope, so never divide by them)
         k = bcoef.shape[0]
@@ -94,7 +118,7 @@ def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
         cp = a2 + ag
         cc = -2.0 * a2 + rhs * t
     lower = np.zeros(n)
-    diag = cc.copy()
+    diag = cc
     upper = np.zeros(n)
     lower[1:] = cm[1:]
     upper[:-1] = cp[:-1]
@@ -102,16 +126,20 @@ def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
     diag[-1] += cp[-1]
     inv_h2 = 1.0 / (h * h)
     if closed_l:
-        # density vanishes structurally at the clamped boundary slope: the
-        # node equation degenerates, so impose the affine-extension closure
-        f[0] = second[0]
         diag[0] = -inv_h2
         upper[0] = inv_h2
     if closed_r:
-        f[n - 1] = second[n - 1]
         diag[n - 1] = -inv_h2
         lower[n - 1] = inv_h2
-    return f, lower, diag, upper, ok
+    return lower, diag, upper
+
+
+def admissible_1d(second, terms, conv_floor, term_floor):
+    """Per-node admissibility mask: second differences and density factors
+    (the parts ``residual_1d`` returns) nonnegative up to the given rounding
+    floors.  The potential is machine-affine deep in the tails, and Newton
+    iterates may dip below zero there transiently."""
+    return (second >= -float(conv_floor)) & np.all(terms >= -float(term_floor), axis=1)
 
 
 # ---------------------------------------------------------------------------

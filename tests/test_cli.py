@@ -1,14 +1,16 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horofano import dh
+from horofano import cli, dh
 from horofano.cli import COMMANDS, load_problem, main
 
 TORIC_M12 = {
@@ -161,6 +163,32 @@ def test_continuity_divergence_estimate(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["continuity"]["reached_t1"] is True  # soliton path completes
+
+
+@pytest.mark.parametrize("command,flag,target", [
+    ("invariants", "--out", "missing/r.json"),
+    ("invariants", "--out", "."),
+    ("all", "--trace", "missing/t.csv"),
+])
+def test_unwritable_output_is_schema_error_before_any_work(
+        tmp_path, monkeypatch, capsys, command, flag, target):
+    src = write(tmp_path, TORIC_M12)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the problem was loaded before the output path was checked")
+
+    monkeypatch.setattr(cli, "load_problem", no_work)
+    assert main([command, "--input", src, flag, str(tmp_path / target)]) == 2
+    assert f"schema error: {flag}: cannot write" in capsys.readouterr().err
+
+
+def test_failed_output_write_is_schema_error(tmp_path, monkeypatch, capsys):
+    # a write that fails after the up-front check (say, the directory went
+    # away during the run) is exit 2 naming the flag, not a traceback
+    monkeypatch.setattr(cli, "_check_writable", lambda path, flag: None)
+    src = write(tmp_path, TORIC_M12)
+    assert main(["invariants", "--input", src, "--out", str(tmp_path / "gone" / "r.json")]) == 2
+    assert "schema error: --out: cannot write output" in capsys.readouterr().err
 
 
 def test_report_determinism_two_runs(tmp_path):
@@ -428,3 +456,38 @@ def test_exit_code_contract_fuzz(tmp_path_factory, data):
     # a coarse grid keeps the solving commands fast
     assert main([command, "--input", src_path, "--grid", "201"]) in (0, 2, 3, 4)
 
+
+def _small_rationals(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=8)
+
+
+@st.composite
+def solver_inputs(draw):
+    """A valid problem with only its numbers redrawn within their valid
+    ranges, so that it reaches the solvers: the vertices of a toric or B1
+    interval or of an A2 box (kappa stays interior and every density form
+    positive), and the continuity grid."""
+    kind = draw(st.sampled_from(("toric", "b1", "a2-box")))
+    if kind == "toric":  # kappa = 0
+        base = TORIC_M12
+        lower = [-draw(_small_rationals(Q(1, 8), 4))]
+        upper = [draw(_small_rationals(Q(1, 8), 4))]
+    elif kind == "b1":  # kappa = 1, density x; a lower end 0 sits on its wall
+        base = B1_HALF_3
+        lower = [draw(_small_rationals(0, Q(7, 8)))]
+        upper = [draw(_small_rationals(Q(9, 8), 4))]
+    else:  # kappa = (1, 1, -2), density (x1 - x3)(x2 - x3)
+        base, kappa = A2_FACET_BOX, (1, 1, -2)
+        lower = [k - draw(_small_rationals(Q(1, 8), Q(7, 8))) for k in kappa]
+        upper = [k + draw(_small_rationals(Q(1, 8), Q(7, 8))) for k in kappa]
+    vertices = [[str(c) for c in corner] for corner in itertools.product(*zip(lower, upper))]
+    return {**base, "polytope": {"moment": {"vertices": vertices}},
+            "options": {"grid": draw(st.integers(201, 401))}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=solver_inputs(),
+       command=st.sampled_from(("soliton", "ricci-bound", "continuity", "all")))
+def test_exit_code_contract_fuzz_reaches_the_solvers(tmp_path_factory, spec, command):
+    src_path = write(tmp_path_factory.mktemp("solver-fuzz"), spec)
+    assert main([command, "--input", src_path]) in (0, 2, 3, 4)

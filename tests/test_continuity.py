@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 from fractions import Fraction as Q
 
 import numpy as np
@@ -21,7 +23,7 @@ from horofano import (
     solve_soliton,
     synthetic_problem,
 )
-from horofano import kernels
+from horofano import continuity, kernels
 from horofano.continuity import ContinuityOptions, build_setup
 
 OPTS_FAST = ContinuityOptions(grid=801)
@@ -191,9 +193,76 @@ def test_sweep_interval_m14_estimate():
     assert abs(estimate - 0.4) < 0.05
 
 
-def test_estimate_requires_proper_trace(toric_m12):
-    trace = continuity_sweep(toric_m12, [0.0], ContinuityOptions(grid=401))
-    trace.termination = "newton_failure"
+@pytest.fixture(scope="module")
+def zero_field_401(toric_m12):
+    """The zero-field sweep of [-1, 2] at grid 401 with its kernel calls
+    counted: residual evaluations, Jacobian assemblies, Newton solves, and
+    accepted iterates, found by replaying the line search's acceptance rule
+    (no gauge deflation below t = 1) on the residuals it sees."""
+    counts = {"residuals": 0, "jacobians": 0, "solves": 0, "accepted": 0}
+    search = {}
+    residual_1d, jacobian_1d, newton_1d = (
+        kernels.residual_1d, kernels.jacobian_1d, continuity._newton_1d
+    )
+
+    def newton(*args, **kwargs):
+        counts["solves"] += 1
+        search.clear()
+        return newton_1d(*args, **kwargs)
+
+    def residual(*args, **kwargs):
+        f, parts = residual_1d(*args, **kwargs)
+        counts["residuals"] += 1
+        with np.errstate(over="ignore"):
+            merit = 0.5 * float(f @ f)
+        if not search:  # the initial iterate of a solve
+            search.update(merit=merit, lam=1.0)
+        elif merit <= (search["merit"] * (1.0 - 2e-4 * search["lam"])
+                       + 4.0 * np.finfo(float).eps * search["merit"]):
+            counts["accepted"] += 1
+            search.update(merit=merit, lam=1.0)
+        else:
+            search["lam"] *= 0.5
+        return f, parts
+
+    def jacobian(*args, **kwargs):
+        counts["jacobians"] += 1
+        return jacobian_1d(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuity, "_newton_1d", newton)
+        mp.setattr(kernels, "residual_1d", residual)
+        mp.setattr(kernels, "jacobian_1d", jacobian)
+        trace = continuity_sweep(toric_m12, [0.0], ContinuityOptions(grid=401))
+    return trace, counts
+
+
+def test_jacobian_built_once_per_accepted_iterate(zero_field_401):
+    # rejected line-search trials evaluate the residual only
+    _, counts = zero_field_401
+    assert counts["accepted"] > 0
+    assert counts["jacobians"] == counts["accepted"] + counts["solves"]
+    assert counts["jacobians"] < counts["residuals"]
+
+
+def test_zero_field_sweep_golden(zero_field_401):
+    # recorded with the single-call kernel that built the residual, the
+    # Jacobian bands and the admissibility flag on every trial: the split
+    # leaves every Newton decision, and so every state float, unchanged
+    trace, _ = zero_field_401
+    assert trace.termination == "divergence"
+    assert trace.diverged_at == 0.6664897897875979
+    assert trace.final_step == 0.00015319462158203123
+    assert len(trace.states) == 14
+    floats = [v for s in trace.states
+              for v in (s.t, s.m_t, *s.x_t, s.mass, s.residual, s.sup_psi, s.step,
+                        s.grad_margin, s.centering, s.gauge_defect)]
+    digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats)).hexdigest()
+    assert digest == "539488cb6287688bfea22f417ca57fc27065e765a2c511611bc227fc784693bc"
+
+
+def test_estimate_requires_proper_trace(zero_field_401):
+    trace = dataclasses.replace(zero_field_401[0], termination="newton_failure")
     with pytest.raises(MathValidationError):
         estimate_rm_numeric(trace)
 

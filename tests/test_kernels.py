@@ -52,12 +52,64 @@ def test_quad_moments_backends_agree(rng):
     assert np.allclose(i2, ref2, rtol=1e-12)
 
 
+def combined_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
+                         conv_floor, term_floor, closed_l, closed_r):
+    """The single-call kernel the split replaced: residual, Jacobian bands
+    and admissibility flag of every trial, kept verbatim as the reference
+    the split must reproduce bit for bit."""
+    n = u.shape[0]
+    _, second, grad, terms = kernels.stencil_1d(u, h, qlo, qhi, bcoef, boff)
+    ok = bool(np.all(second >= -float(conv_floor)) and np.all(terms >= -float(term_floor)))
+    dens = np.prod(terms, axis=1)
+    w = t * u + (1.0 - t) * u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.exp(-w - grad * xi)
+        f = second * dens * invc - rhs
+        k = bcoef.shape[0]
+        sd = np.zeros(n)
+        for m in range(k):
+            other = np.prod(np.delete(terms, m, axis=1), axis=1) if k > 1 else np.ones(n)
+            sd += -0.5 * bcoef[m] * other
+        a2 = dens * invc / (h * h)
+        ag = (second * sd * invc + rhs * xi) / (2.0 * h)
+        cm = a2 - ag
+        cp = a2 + ag
+        cc = -2.0 * a2 + rhs * t
+    lower = np.zeros(n)
+    diag = cc.copy()
+    upper = np.zeros(n)
+    lower[1:] = cm[1:]
+    upper[:-1] = cp[:-1]
+    diag[0] += cm[0]
+    diag[-1] += cp[-1]
+    inv_h2 = 1.0 / (h * h)
+    if closed_l:
+        f[0] = second[0]
+        diag[0] = -inv_h2
+        upper[0] = inv_h2
+    if closed_r:
+        f[n - 1] = second[n - 1]
+        diag[n - 1] = -inv_h2
+        lower[n - 1] = inv_h2
+    return f, lower, diag, upper, ok
+
+
+def split_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
+                      conv_floor, term_floor, closed_l, closed_r):
+    """The split kernels composed into the same (f, lower, diag, upper, ok)."""
+    f, parts = kernels.residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
+                                   closed_l, closed_r)
+    bands = kernels.jacobian_1d(parts, h, t, xi, bcoef, invc, closed_l, closed_r)
+    ok = bool(np.all(kernels.admissible_1d(parts[0], parts[1], conv_floor, term_floor)))
+    return (f, *bands, ok)
+
+
 def test_residual_backends_agree():
     # against the pointwise equation with the affinely extended ghost nodes
     bcoef, boff = FORMS[1]
     t, xi, invc = 0.6, 0.2, 0.8
-    f, _, _, _, ok = kernels.residual_1d(U, U0, H, t, xi, bcoef, boff, QLO, QHI, invc,
-                                         1e-9, 1e-9, False, True)
+    f, _, _, _, ok = split_residual_1d(U, U0, H, t, xi, bcoef, boff, QLO, QHI, invc,
+                                       1e-9, 1e-9, False, True)
     n = U.shape[0]
     admissible = True
     for i in range(n):
@@ -78,8 +130,9 @@ def test_residual_backends_agree():
 @pytest.mark.parametrize("closed_l,closed_r", [(False, False), (True, False), (False, True)])
 def test_residual_jacobian_matches_finite_differences(nforms, closed_l, closed_r):
     bcoef, boff = FORMS[nforms]
-    args = (U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8, 0.0, 0.0, closed_l, closed_r)
-    _, lower, diag, upper, _ = kernels.residual_1d(U, *args)
+    args = (U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8, closed_l, closed_r)
+    _, parts = kernels.residual_1d(U, *args)
+    lower, diag, upper = kernels.jacobian_1d(parts, H, 0.6, 0.2, bcoef, 0.8, closed_l, closed_r)
     jac = dense(lower, diag, upper)
     eps = 1e-6
     fd = np.empty_like(jac)
@@ -89,6 +142,31 @@ def test_residual_jacobian_matches_finite_differences(nforms, closed_l, closed_r
         fd[:, j] = (kernels.residual_1d(U + e, *args)[0]
                     - kernels.residual_1d(U - e, *args)[0]) / (2 * eps)
     assert np.max(np.abs(fd - jac)) <= 1e-7 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("nforms", [0, 1, 2])
+@pytest.mark.parametrize("closed_l,closed_r", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("xi", [0.0, 0.2])
+@pytest.mark.parametrize("scale", [1.0, 1e3, -1e3])
+def test_split_kernels_match_the_combined_kernel_bitwise(nforms, closed_l, closed_r, xi, scale):
+    # scale -1e3 is a far-off line-search trial whose exponential overflows:
+    # inf and nan entries must sit at the same positions as before the split
+    # (both kernels add to the inf diagonal ends outside their errstate); the
+    # grid spacing is not a power of two, so a reassociated product shows
+    x = np.linspace(-5, 5, 38)
+    u0 = np.log(np.exp(QLO * x) + np.exp(QHI * x))
+    u = (u0 + 0.01 * np.cos(x)) * scale
+    bcoef, boff = FORMS[nforms]
+    args = (u, u0, x[1] - x[0], 0.6, xi, bcoef, boff, QLO, QHI, 0.8, 1e-9, 1e-9,
+            closed_l, closed_r)
+    with np.errstate(invalid="ignore"):
+        new = split_residual_1d(*args)
+        old = combined_residual_1d(*args)
+    for a, b in zip(new[:4], old[:4]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert new[4] == old[4]
+    if scale < 0:
+        assert not np.all(np.isfinite(new[0]))
 
 
 def test_thomas_backends_agree_and_solve(rng):
