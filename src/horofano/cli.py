@@ -1,9 +1,11 @@
 """Problem ingestion, validation orchestration and report/trace emission.
 
-Exit codes: 0 success, 2 malformed input (schema) or an unwritable ``--out``
-/ ``--trace`` path, 3 mathematical validation failure, 4 solver/quadrature
-failure.  Reports are deterministic: exact values are serialized as 'p/q'
-strings, keys are sorted, and no timestamps appear.
+Exit codes: 0 success, 2 malformed input (schema), an unwritable ``--out``
+/ ``--trace`` path or ``--trace`` on a command that runs no continuity
+sweep, 3 mathematical validation failure, 4 solver/quadrature failure.
+``all`` on r >= 2 skips the sweep and says on stderr that it wrote no trace.
+Reports are deterministic: exact values are serialized as 'p/q' strings,
+keys are sorted, and no timestamps appear.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ COMMANDS = ("validate", "invariants", "soliton", "ricci-bound", "continuity", "a
 OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(ContinuityOptions))
 # options that a command-line flag of the same name overrides
 FLAG_OPTIONS = ("grid", "box", "t0", "quad_order", "tol")
+# the commands that run the continuity sweep, so the only ones --trace serves
+TRACE_COMMANDS = ("continuity", "all")
 
 
 @dataclass
@@ -390,6 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.trace and args.command not in TRACE_COMMANDS:
+            raise SchemaError(f"{args.command} runs no continuity sweep, so writes no trace",
+                              "--trace")
         _check_writable(args.out, "--out")
         _check_writable(args.trace, "--trace")
         loaded = load_problem(args.input, strict=args.command != "validate")
@@ -412,6 +419,9 @@ def main(argv=None) -> int:
         return 4
     for line in _summary_lines(report):
         print(line)
+    skipped = report.get("continuity", {}).get("skipped")
+    if args.trace and skipped:
+        print(f"note: --trace: no trace written, continuity skipped ({skipped})", file=sys.stderr)
     reflectivity = report["validation"]["reflectivity"]
     if args.command == "validate" and reflectivity is not None and not reflectivity["all_ok"]:
         return 3

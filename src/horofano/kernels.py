@@ -6,14 +6,22 @@ Jacobian bands and the admissibility mask are built from the parts it
 returns, only for the iterates the line search accepts.
 
 Everything is numpy, except the tridiagonal solve, which calls LAPACK
-``dgtsv`` (LU with partial pivoting) through scipy.  scipy is imported inside
-``thomas`` only: importing ``scipy.linalg`` costs a sizable share of a cold
-command, and the r = 3 commands never solve a tridiagonal system.  Results
-are deterministic (fixed summation order per call).  ``perfbench/run.py
---trace 1`` reports per-kernel times.
+``dgtsv`` (LU with partial pivoting).  ``thomas`` binds it on its first call
+through ctypes from the OpenBLAS that numpy's wheel ships and has already
+loaded (``numpy.libs/libscipy_openblas64_*.so``: a private library name,
+symbol ``scipy_dgtsv_64_``, 64-bit integers), so a cold 1-D command never
+imports scipy, whose ``scipy.linalg`` package costs a sizable share of a cold
+command.  Where numpy carries no such library (numpy built against MKL,
+Accelerate or a system OpenBLAS) it falls back to
+``scipy.linalg.lapack.dgtsv``, the same routine.  Results are deterministic
+(fixed summation order per call).  ``perfbench/run.py --trace 1`` reports
+per-kernel times.
 """
 
 from __future__ import annotations
+
+import functools
+import os
 
 import numpy as np
 
@@ -147,23 +155,76 @@ def admissible_1d(second, terms, conv_floor, term_floor):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _openblas_dgtsv():
+    """Bind ``dgtsv`` from the OpenBLAS bundled in numpy's wheel, once per
+    process; returns ``solve(buf, n) -> info`` on the packed buffer of
+    ``thomas``, or None when numpy ships no such library or symbol."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs)
+                       if f.startswith("libscipy_openblas64_") and f.endswith(".so"))
+    except OSError:
+        return None
+    import ctypes
+
+    for name in names:
+        try:
+            fn = ctypes.CDLL(os.path.join(libs, name)).scipy_dgtsv_64_
+        except (OSError, AttributeError):
+            continue
+        int_p = ctypes.POINTER(ctypes.c_int64)
+        fn.argtypes = (int_p, int_p) + (ctypes.c_void_p,) * 4 + (int_p, int_p)
+        fn.restype = None
+        one = ctypes.c_int64(1)
+
+        def solve(buf, n):
+            # buf = [b | d | dl | du], float64: b at byte 0, d at 8n, dl at
+            # 16n, du at 8(3n - 1); the leading dimension of b is n
+            addr = buf.ctypes.data
+            size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+            fn(ctypes.byref(size), ctypes.byref(one), addr + 16 * n, addr + 8 * n,
+               addr + 8 * (3 * n - 1), addr, ctypes.byref(size), ctypes.byref(info))
+            return info.value
+
+        return solve
+    return None
+
+
 def thomas(lower, diag, upper, rhs):
     """Solve a tridiagonal system given by the three bands (lower[0] and
     upper[-1] are ignored) with LAPACK ``dgtsv``, LU with partial pivoting:
     the plain Thomas recurrence hits zero pivots on near-Neumann tail blocks.
 
+    ``dgtsv`` comes from numpy's bundled OpenBLAS through ctypes (private
+    library name, 64-bit integers), bound on the first call; without that
+    library it is ``scipy.linalg.lapack.dgtsv``.  The right-hand side and
+    the bands are copied into one buffer, which ``dgtsv`` overwrites in
+    place, so the caller's arrays are never modified; the solution returned
+    is a view of that buffer.
+
     Raises ``SolverError`` on non-finite input or an exactly singular pivot,
     where ``dgtsv`` itself would return garbage or NaN.
     """
-    from scipy.linalg.lapack import dgtsv
-
-    dl = np.ascontiguousarray(lower, dtype=np.float64)[1:]
-    d = np.ascontiguousarray(diag, dtype=np.float64)
-    du = np.ascontiguousarray(upper, dtype=np.float64)[:-1]
-    b = np.ascontiguousarray(rhs, dtype=np.float64)
-    if not all(np.isfinite(a).all() for a in (dl, d, du, b)):
+    n = len(diag)
+    buf = np.empty(4 * n - 2)
+    buf[:n] = rhs
+    buf[n:2 * n] = diag
+    buf[2 * n:3 * n - 1] = lower[1:]
+    buf[3 * n - 1:] = upper[:-1]
+    if not np.isfinite(buf).all():
         raise SolverError("tridiagonal system has non-finite entries")
-    _, _, _, x, info = dgtsv(dl, d, du, b)
+    solve = _openblas_dgtsv()
+    if solve is not None:
+        info = solve(buf, n)
+        x = buf[:n]
+    else:
+        from scipy.linalg.lapack import dgtsv
+
+        dl, du = buf[2 * n:3 * n - 1], buf[3 * n - 1:]
+        if n == 1:  # scipy's wrapper rejects empty off-diagonals; dgtsv never reads them
+            dl = du = np.zeros(1)
+        _, _, _, x, info = dgtsv(dl, buf[n:2 * n], du, buf[:n])
     if info != 0:
         raise SolverError(f"tridiagonal system is singular (dgtsv info={info})")
     return x

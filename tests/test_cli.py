@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horofano import cli, dh
+from horofano import cli, dh, kernels
 from horofano.cli import COMMANDS, load_problem, main
 
 TORIC_M12 = {
@@ -182,6 +182,33 @@ def test_unwritable_output_is_schema_error_before_any_work(
     assert f"schema error: {flag}: cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "invariants", "soliton", "ricci-bound"])
+def test_trace_on_a_command_without_a_sweep_is_schema_error_before_any_work(
+        tmp_path, monkeypatch, capsys, command):
+    src = write(tmp_path, TORIC_M12)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the problem was loaded before --trace was checked")
+
+    monkeypatch.setattr(cli, "load_problem", no_work)
+    trace = tmp_path / "t.csv"
+    assert main([command, "--input", src, "--trace", str(trace)]) == 2
+    assert f"schema error: --trace: {command} runs no continuity sweep" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_all_two_dimensional_says_no_trace_written(tmp_path, capsys):
+    src = write(tmp_path, REFLECTIVE_SQUARE)
+    plain, traced, trace = tmp_path / "plain.json", tmp_path / "traced.json", tmp_path / "t.csv"
+    assert main(["all", "--input", src, "--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["all", "--input", src, "--out", str(traced), "--trace", str(trace)]) == 0
+    err = capsys.readouterr().err
+    assert err == "note: --trace: no trace written, continuity skipped (r = 2 > 1)\n"
+    assert traced.read_bytes() == plain.read_bytes()
+    assert not trace.exists()
+
+
 def test_failed_output_write_is_schema_error(tmp_path, monkeypatch, capsys):
     # a write that fails after the up-front check (say, the directory went
     # away during the run) is exit 2 naming the flag, not a traceback
@@ -240,6 +267,21 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(kernels._openblas_dgtsv() is None,
+                    reason="this numpy bundles no OpenBLAS, so thomas falls back to scipy")
+def test_cold_one_dimensional_all_loads_no_scipy(tmp_path):
+    # the tridiagonal solve binds dgtsv from numpy's bundled OpenBLAS: a cold
+    # 1-D ``all``, sweep included, never imports scipy
+    src = write(tmp_path, TORIC_M12)
+    code = ("import sys; from horofano.cli import main; "
+            f"assert main(['all', '--input', {src!r}, '--grid', '201']) == 0; "
+            "print(sorted(m for m in sys.modules if 'scipy' in m))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
+    assert "continuity: reached_t1" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_file_is_schema_error():

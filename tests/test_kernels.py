@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from horofano import kernels
 from horofano.errors import SolverError
@@ -206,15 +207,58 @@ def test_thomas_handles_near_neumann_chain():
     assert np.allclose(sol, exact, rtol=1e-6)
 
 
-def test_thomas_singular_is_solver_error():
+def solve_paths(monkeypatch):
+    """Yield once per path of ``thomas``: the ctypes binding to numpy's
+    bundled OpenBLAS (where that library exists), then the scipy fallback,
+    forced by a binder that finds no library."""
+    if kernels._openblas_dgtsv() is not None:
+        yield "openblas"
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_openblas_dgtsv", lambda: None)
+        yield "scipy"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 2001, 20001])
+def test_thomas_bitwise_equal_to_scipy_dgtsv_on_both_paths(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    systems = [[rng.normal(size=n) for _ in range(4)] for _ in range(5)]
+    # diagonally weak systems, so partial pivoting swaps rows
+    systems += [[rng.normal(size=n), 1e-3 * rng.normal(size=n), rng.normal(size=n),
+                 rng.normal(size=n)] for _ in range(5)]
+    for path in solve_paths(monkeypatch):
+        for lower, diag, upper, rhs in systems:
+            # scipy's wrapper rejects the empty off-diagonals of n = 1, which
+            # dgtsv never reads
+            dl, du = (lower[1:], upper[:-1]) if n > 1 else (np.zeros(1), np.zeros(1))
+            *_, ref, info = dgtsv(dl, diag, du, rhs)
+            assert info == 0
+            assert np.array_equal(kernels.thomas(lower, diag, upper, rhs), ref), path
+
+
+def test_thomas_leaves_the_callers_arrays_unchanged(monkeypatch, rng):
+    # dgtsv overwrites its bands and right-hand side in place: the Newton
+    # loop reuses its Jacobian bands and residual after the solve
+    n = 201
+    bands = [rng.normal(size=n) for _ in range(4)]
+    copies = [b.copy() for b in bands]
+    for path in solve_paths(monkeypatch):
+        x = kernels.thomas(*bands)
+        for b, c in zip(bands, copies):
+            assert np.array_equal(b, c), path
+        assert not any(np.shares_memory(x, b) for b in bands), path
+
+
+def test_thomas_singular_is_solver_error(monkeypatch):
     diag = np.array([1.0, 0.0, 1.0])
-    with pytest.raises(SolverError, match="singular"):
-        kernels.thomas(np.zeros(3), diag, np.zeros(3), np.ones(3))
+    for path in solve_paths(monkeypatch):
+        with pytest.raises(SolverError, match="singular"):
+            kernels.thomas(np.zeros(3), diag, np.zeros(3), np.ones(3))
 
 
 @pytest.mark.parametrize("band", range(4))
-def test_thomas_non_finite_is_solver_error(band):
+def test_thomas_non_finite_is_solver_error(monkeypatch, band):
     bands = [np.zeros(3), np.full(3, 2.0), np.zeros(3), np.ones(3)]
     bands[band][1] = np.nan
-    with pytest.raises(SolverError, match="non-finite"):
-        kernels.thomas(*bands)
+    for path in solve_paths(monkeypatch):
+        with pytest.raises(SolverError, match="non-finite"):
+            kernels.thomas(*bands)
