@@ -5,7 +5,8 @@ from the support-function slopes so the dropped tail mass of exp(-v) is below
 1e-8 of the density volume, and extends the potential affinely beyond the box
 with the extreme slopes of the gradient polytope (the discrete form of the
 "support function plus constant" boundary condition; the constant is read off
-the boundary values and reported).  The normalizing constant of the equation
+the boundary values into ``ContinuityState.boundary_offset``, which no report
+or trace CSV carries).  The normalizing constant of the equation
 is fixed so that the mass identity  integral exp(-w_t) = V  holds at the
 continuous level for every t and every soliton parameter; the discrete solver
 inherits it as a diagnostic.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction as Q
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import kernels
 from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import Polytope
 from .problem import HorosphericalProblem
-from .rationals import vdot
+from .rationals import vdot, zero_vec
 from .soliton import weighted_mass
 
 
@@ -101,7 +101,7 @@ class ReferencePotential:
     gradients into the open polytope."""
 
     def __init__(self, two_delta: Polytope):
-        zero = tuple(Q(0) for _ in range(two_delta.dim))
+        zero = zero_vec(two_delta.dim)
         if not two_delta.contains(zero, strict=True):
             raise MathValidationError(
                 "0 must be interior to the gradient polytope", condition="zero_interior"
@@ -533,13 +533,12 @@ def ma_residual(hp: HorosphericalProblem, u: np.ndarray, t: float, xi,
     return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
 
 
-def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None = None,
+def solve_at_t(hp: HorosphericalProblem, t: float, xi,
                options: ContinuityOptions | None = None,
                setup: ContinuitySetup | None = None) -> ContinuityState:
     """Solve the discrete equation at one value of the deformation parameter.
 
-    With ``init`` this is one Newton solve warm-started there.  Without it
-    the continuity sweep runs from the reference potential to t (a cold
+    The continuity sweep runs from the reference potential to t (a cold
     Newton start far from t0 is outside the basin of the equation's strong
     exponential nonlinearity) and its final state is returned; a sweep that
     stops short raises ``SolverError`` naming its termination.
@@ -548,19 +547,14 @@ def solve_at_t(hp: HorosphericalProblem, t: float, xi, init: np.ndarray | None =
         setup = build_setup(hp, xi, options or ContinuityOptions())
     if not 0 < t <= 1:
         raise MathValidationError("t must lie in (0, 1]")
-    if init is None:
-        trace = _sweep(setup, t)
-        if trace.termination != "reached_t1":
-            raise SolverError(
-                f"continuity sweep to t = {t} ended in {trace.termination}"
-                + (f" at t = {trace.diverged_at}" if trace.diverged_at is not None else ""),
-                last_state=trace.final_state,
-            )
-        return trace.final_state
-    u, rnorm, iters, defect = _newton_1d(
-        setup, t, np.asarray(init, dtype=np.float64), force_gauge=t >= 1.0
-    )
-    return _state_1d(setup, t, u, rnorm, iters, defect)
+    trace = _sweep(setup, t)
+    if trace.termination != "reached_t1":
+        raise SolverError(
+            f"continuity sweep to t = {t} ended in {trace.termination}"
+            + (f" at t = {trace.diverged_at}" if trace.diverged_at is not None else ""),
+            last_state=trace.final_state,
+        )
+    return trace.final_state
 
 
 def continuity_sweep(hp: HorosphericalProblem, xi,

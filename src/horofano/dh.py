@@ -35,8 +35,8 @@ DEFAULT_QUAD_REL_TOL = 1e-12
 class DHDensity:
     """Product of linear forms p -> <form, p>; the density of the DH measure.
 
-    Forms are stored as plain coefficient vectors (any scalar product has
-    already been applied), so evaluation is a dot product.
+    Forms are stored as plain coefficient vectors, so evaluation is a dot
+    product.
     """
 
     forms: tuple[Vec, ...]
@@ -97,20 +97,30 @@ def _integrate_bary(simplex: Simplex, poly: dict) -> Q:
 
 def integrate_poly_simplex(simplex: Simplex, forms=None, monomial=None) -> Q:
     """Exact integral over a simplex of a product of affine forms, or of the
-    coordinate monomial given by an exponent multi-index."""
+    coordinate monomial given by an exponent multi-index.
+
+    Each entry of ``forms`` is a ``(coeffs, offset)`` pair, the form
+    x -> <coeffs, x> + offset with one coefficient per simplex dimension;
+    any other entry is a ``MathValidationError`` naming it.
+    """
     d = simplex.dim
     affine: list[tuple[Vec, Q]] = []
     if monomial is not None:
         for i, a in enumerate(monomial):
             unit = tuple(Q(1) if j == i else Q(0) for j in range(d))
             affine.extend((unit, Q(0)) for _ in range(int(a)))
-    if forms is not None:
-        for f in forms:
-            if isinstance(f, tuple) and len(f) == 2 and not isinstance(f[0], Q):
-                coeffs, off = f
-            else:
-                coeffs, off = f, 0
-            affine.append((tuple(Q(c) for c in coeffs), Q(off)))
+    for k, f in enumerate(forms or ()):
+        try:
+            coeffs, off = f
+            coeffs = tuple(Q(c) for c in coeffs)
+            if len(coeffs) != d:
+                raise ValueError
+            affine.append((coeffs, Q(off)))
+        except (TypeError, ValueError):
+            raise MathValidationError(
+                f"form {k} {f!r} is not a (coeffs, offset) pair with {d} coefficients",
+                condition="form",
+            ) from None
     poly = {tuple(0 for _ in range(d + 1)): Q(1)}
     for coeffs, off in affine:
         poly = _poly_mul(poly, _affine_to_bary(simplex, coeffs, off))

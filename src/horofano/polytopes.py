@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 
 from .errors import MathValidationError, SchemaError
 from .rationals import (
     Vec,
     affine_rank,
+    coprime_integers,
     det,
     format_rational,
     nullspace_vector,
@@ -28,6 +29,7 @@ from .rationals import (
     vdot,
     vscale,
     vsub,
+    zero_vec,
 )
 
 MAX_DIM = 3
@@ -88,12 +90,8 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def edge_matrix(self) -> list[Vec]:
-        base = self.vertices[0]
-        return [vsub(v, base) for v in self.vertices[1:]]
-
     def volume(self) -> Q:
-        d = det(self.edge_matrix())
+        d = det([vsub(v, self.vertices[0]) for v in self.vertices[1:]])
         if d == 0:
             raise MathValidationError("degenerate simplex")
         return abs(d) / factorial(self.dim)
@@ -101,17 +99,10 @@ class Simplex:
 
 def _scale_halfspace(normal: Vec, offset: Q) -> Facet:
     """Scale by a positive rational so the normal is a primitive integer vector."""
-    denom = 1
-    for a in normal:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in normal]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
+    ints, scale = coprime_integers(normal)
+    if scale == 0:
         raise MathValidationError("zero normal in halfspace")
-    scale = Q(denom, g)
-    return tuple(Q(n // g) for n in ints), offset * scale
+    return tuple(Q(n) for n in ints), offset * scale
 
 
 def _facets_from_points(points: list[Vec], dim: int) -> list[Facet]:
@@ -150,7 +141,7 @@ def _vertices_from_facets(facets: list[Facet], dim: int) -> list[Vec]:
 
 def _check_unbounded(facets: list[Facet], dim: int) -> None:
     normals = [n for n, _ in facets]
-    if affine_rank([tuple(Q(0) for _ in range(dim))] + normals) < dim:
+    if affine_rank([zero_vec(dim)] + normals) < dim:
         raise MathValidationError(
             "halfspace normals do not span the ambient space (unbounded)",
             condition="bounded",
@@ -216,7 +207,7 @@ def from_halfspaces(halfspaces) -> Polytope:
 
 def dual_polytope(p: Polytope) -> Polytope:
     """The dual {y : <x, y> >= -1 for all x in p}; requires 0 interior."""
-    zero = tuple(Q(0) for _ in range(p.dim))
+    zero = zero_vec(p.dim)
     if not p.contains(zero, strict=True):
         raise MathValidationError(
             "dual polytope needs 0 in the interior", condition="zero_interior"
@@ -367,7 +358,7 @@ def validate_reflective(
     """
     from .roots import coroot as _coroot
 
-    zero = tuple(Q(0) for _ in range(q.dim))
+    zero = zero_vec(q.dim)
     zero_interior = q.contains(zero, strict=True)
 
     scaled_coroots = []

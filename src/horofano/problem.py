@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 from .dh import DHDensity, dh_barycenter, dh_volume, density_from_forms
 from .errors import MathValidationError
 from .polytopes import Polytope, delta_from_moment
-from .rationals import Vec, mat_vec, zero_vec
+from .rationals import Vec, zero_vec
 from .roots import ParabolicDatum, RootDatum
 
 
@@ -81,11 +81,11 @@ def problem_from_root_data(
             f"moment polytope dimension {moment.dim} != character space dimension {rd.dim}",
             condition="dimension",
         )
-    forms = tuple(mat_vec(rd.gram, alpha) for alpha in pd.phi_Q_plus)
+    # the scalar product is the identity, so each root is its own linear form
     hp = HorosphericalProblem(
         moment=moment,
         kappa=pd.kappa,
-        density=density_from_forms(forms),
+        density=density_from_forms(pd.phi_Q_plus),
         rd=rd,
         pd=pd,
     )

@@ -1,17 +1,17 @@
 """Exact rational vectors, matrices and small linear solves.
 
-Vectors are immutable tuples of ``Fraction``; matrices are tuples of row
-vectors.  Everything here is exact, deterministic and free of floats.
+Vectors are immutable tuples of ``Fraction``; the solves take a matrix as a
+sequence of rows and share one Gauss-Jordan elimination.  Everything here
+is exact, deterministic and free of floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Q, ...]
-Mat = tuple[Vec, ...]
 
 
 def zero_vec(dim: int) -> Vec:
@@ -42,64 +42,49 @@ def vsum(vectors: Sequence[Vec], dim: int) -> Vec:
     return out
 
 
-def identity_mat(dim: int) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim))
-
-
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(vdot(row, x) for row in m)
+def coprime_integers(x: Sequence[Q]) -> tuple[list[int], Q]:
+    """The coprime integer entries of s * x and the positive rational s; s is
+    0 for a zero (or empty) vector, which has no such scaling."""
+    denom = lcm(*(a.denominator for a in x))
+    ints = [int(a * denom) for a in x]
+    g = gcd(*ints)
+    if g == 0:
+        return ints, Q(0)
+    return [n // g for n in ints], Q(denom, g)
 
 
 def primitive(x: Vec) -> Vec:
     """Scale a nonzero rational vector to integer entries with gcd 1 and
     positive leading nonzero entry."""
-    denom = 1
-    for a in x:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in x]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
+    ints, scale = coprime_integers(x)
+    if scale == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [n // g for n in ints]
-    for n in ints:
-        if n != 0:
-            if n < 0:
-                ints = [-m for m in ints]
+    sign = 1 if next(n for n in ints if n != 0) > 0 else -1
+    return tuple(Q(sign * n) for n in ints)
+
+
+def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], list[int], Q]:
+    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``;
+    any later column (a right-hand side) is carried along.
+
+    Returns the reduced row echelon form, its pivot columns and the product
+    of the pivots, negated once per row swap: for a square matrix with a
+    pivot in every column that product is the determinant.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    product = Q(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
             break
-    return tuple(Q(n) for n in ints)
-
-
-def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
-    """Solve ``a x = b`` exactly; return None when ``a`` is singular."""
-    n = len(b)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
-
-
-def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
-    """A nonzero exact solution of ``rows @ x = 0`` when the rows have rank
-    ``dim - 1``; None otherwise."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
         pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            product = -product
+        product *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
@@ -107,16 +92,29 @@ def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
                 f = m[i][col]
                 m[i] = [v - f * w for v, w in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    if r != dim - 1:
+    return m, pivots, product
+
+
+def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
+    """Solve ``a x = b`` exactly; return None when ``a`` is singular."""
+    n = len(b)
+    m, pivots, _ = _reduce([(*row, bi) for row, bi in zip(a, b)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in m)
+
+
+def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
+    """A nonzero exact solution of ``rows @ x = 0`` when the rows have rank
+    ``dim - 1``; None otherwise."""
+    m, pivots, _ = _reduce(rows, dim)
+    if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
     x = [Q(0)] * dim
     x[free] = Q(1)
-    for i, col in enumerate(pivots):
-        x[col] = -m[i][free]
+    for row, col in zip(m, pivots):
+        x[col] = -row[free]
     return tuple(x)
 
 
@@ -125,44 +123,13 @@ def affine_rank(points: Sequence[Vec]) -> int:
     if not points:
         return -1
     base = points[0]
-    rows = [list(vsub(p, base)) for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(_reduce([vsub(p, base) for p in points[1:]], len(base))[1])
 
 
 def det(rows: Sequence[Sequence[Q]]) -> Q:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = Q(1)
-    result = Q(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [v - f * w for v, w in zip(m[i], m[col])]
-    return sign * result
+    """Exact determinant of a square matrix."""
+    _, pivots, product = _reduce(rows, len(rows))
+    return product if len(pivots) == len(rows) else Q(0)
 
 
 def parse_rational(value, field: str = "") -> Q:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .errors import MathValidationError
-from .rationals import Mat, Vec, identity_mat, solve_square, vadd, vdot, vsum, zero_vec
+from .rationals import Vec, solve_square, vadd, vdot, vsum, zero_vec
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -55,14 +55,13 @@ def _block_roots(family: str, rank: int) -> tuple[list[Vec], list[Vec], int]:
 
 
 def _embed(v: Vec, offset: int, dim: int) -> Vec:
-    return tuple(Q(0) for _ in range(offset)) + v + tuple(
-        Q(0) for _ in range(dim - offset - len(v))
-    )
+    return zero_vec(offset) + v + zero_vec(dim - offset - len(v))
 
 
 @dataclass(frozen=True)
 class RootDatum:
-    """A root system with ambient coordinates and Weyl-invariant scalar product.
+    """A root system in ambient coordinates, on which the Weyl-invariant scalar
+    product is the identity.
 
     ``expansions[k]`` gives the (nonnegative integer) coefficients of
     ``positive_roots[k]`` over ``simple_roots``.
@@ -73,11 +72,10 @@ class RootDatum:
     dim: int
     simple_roots: tuple[Vec, ...]
     positive_roots: tuple[Vec, ...]
-    gram: Mat
     expansions: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def pairing(self, x: Vec, y: Vec) -> Q:
-        return sum((x[i] * vdot(self.gram[i], y) for i in range(self.dim)), Q(0))
+        return vdot(x, y)
 
     def is_root(self, alpha: Vec) -> bool:
         return alpha in self.positive_roots or tuple(-a for a in alpha) in self.positive_roots
@@ -119,7 +117,6 @@ def build_root_system(factors, torus_rank: int = 0) -> RootDatum:
         dim=dim,
         simple_roots=tuple(simple),
         positive_roots=tuple(positive),
-        gram=identity_mat(dim),
         expansions=tuple(expansions),
     )
     _check_cartan(rd)
@@ -197,7 +194,7 @@ def parabolic_data(rd: RootDatum, levi) -> ParabolicDatum:
         for root, coeffs in zip(rd.positive_roots, rd.expansions)
         if any(c != 0 and (k + 1) not in levi for k, c in enumerate(coeffs))
     ]
-    kappa = vsum(phi_q, rd.dim) if phi_q else zero_vec(rd.dim)
+    kappa = vsum(phi_q, rd.dim)
     a_alpha: dict[Vec, int] = {}
     for root in phi_q:
         a = rd.pairing(kappa, coroot(rd, root))

@@ -332,7 +332,6 @@ def test_two_dimensional_problem_rejected():
     calls = [
         lambda: continuity_sweep(sq, [0.0, 0.0]),
         lambda: solve_at_t(sq, 0.3, [0.0, 0.0]),
-        lambda: solve_at_t(sq, 0.3, [0.0, 0.0], init=np.zeros((41, 41))),
         lambda: ma_residual(sq, np.zeros((41, 41)), 0.3, [0.0, 0.0]),
     ]
     for call in calls:

@@ -79,6 +79,25 @@ def test_affine_form_products():
     assert val == expected
 
 
+def test_form_pairs_with_integer_entries():
+    # every entry of forms is a (coeffs, offset) pair, whatever the dimension
+    seg = Simplex(vertices=((Q(0),), (Q(1),)))
+    assert integrate_poly_simplex(seg, forms=[((1,), 2)]) == Q(5, 2)
+    val = integrate_poly_simplex(UNIT_TRIANGLE, forms=[((1, 0), 1), ((0, 1), 2)])
+    assert val == Q(37, 24)  # (p1 + 1)(p2 + 2): 1/24 + 2/6 + 1/6 + 2/2
+    tet = Simplex(vertices=((Q(0), Q(0), Q(0)), (Q(1), Q(0), Q(0)),
+                            (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))))
+    assert integrate_poly_simplex(tet, forms=[((1, 1, 1), 0)]) == Q(1, 8)
+
+
+@pytest.mark.parametrize("form", [(1, 2), (Q(1), Q(2)), ((1, 0, 0), 1), ((1, 0),)])
+def test_form_not_a_pair_is_rejected(form):
+    # a bare coefficient vector, or coefficients of the wrong length
+    with pytest.raises(MathValidationError, match="form 1") as info:
+        integrate_poly_simplex(UNIT_TRIANGLE, forms=[((1, 0), 1), form])
+    assert info.value.condition == "form"
+
+
 def test_dh_volume_examples():
     assert dh_volume(from_vertices([(-1,), (1,)]), density_from_forms([])) == 2
     assert dh_volume(from_vertices([(1,), (3,)]), density_from_forms([(1,)])) == 4

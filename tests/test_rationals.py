@@ -1,0 +1,146 @@
+"""The exact core against references written here: determinants by cofactor
+expansion, ranks as the size of the largest nonzero minor, solutions by
+substitution, and the two integer normalisations of a rational vector."""
+
+from fractions import Fraction as Q
+from itertools import combinations
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horofano.errors import MathValidationError
+from horofano.polytopes import _scale_halfspace
+from horofano.rationals import affine_rank, det, nullspace_vector, primitive, solve_square
+
+ENTRIES = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+SIZES = st.integers(1, 4)
+
+
+def vectors(dim):
+    return st.lists(ENTRIES, min_size=dim, max_size=dim)
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    """Rows drawn as rational combinations of at most ``nrows`` generator
+    rows, so singular and rank-deficient matrices are common."""
+    gens = draw(st.lists(vectors(ncols), min_size=1, max_size=nrows))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(vectors(len(gens)))
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), Q(0)) for j in range(ncols)])
+    return rows
+
+
+def cofactor_det(a):
+    if not a:
+        return Q(1)
+    return sum(
+        ((-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+         for j in range(len(a))),
+        Q(0),
+    )
+
+
+def minor_rank(rows):
+    """The size of the largest nonzero minor."""
+    n, m = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(n, m), 0, -1):
+        for rs in combinations(range(n), k):
+            for cs in combinations(range(m), k):
+                if cofactor_det([[rows[i][j] for j in cs] for i in rs]) != 0:
+                    return k
+    return 0
+
+
+def square_and_rhs():
+    return SIZES.flatmap(lambda n: st.tuples(matrices(n, n), vectors(n)))
+
+
+@settings(deadline=None)
+@given(a=SIZES.flatmap(lambda n: matrices(n, n)))
+def test_det_is_the_cofactor_expansion(a):
+    d = det([tuple(row) for row in a])
+    assert isinstance(d, Q)
+    assert d == cofactor_det(a)
+
+
+@settings(deadline=None)
+@given(system=square_and_rhs())
+def test_solve_square_by_substitution(system):
+    a, b = system
+    x = solve_square(a, b)
+    if cofactor_det(a) == 0:
+        assert x is None
+    else:
+        assert all(isinstance(c, Q) for c in x)
+        assert [sum((r * c for r, c in zip(row, x)), Q(0)) for row in a] == b
+
+
+@settings(deadline=None)
+@given(rows=st.tuples(SIZES, SIZES).flatmap(lambda nm: matrices(*nm)))
+def test_nullspace_vector_only_at_corank_one(rows):
+    dim = len(rows[0])
+    x = nullspace_vector([tuple(row) for row in rows], dim)
+    if minor_rank(rows) != dim - 1:
+        assert x is None
+        return
+    assert len(x) == dim and any(c != 0 for c in x)
+    assert all(sum((r * c for r, c in zip(row, x)), Q(0)) == 0 for row in rows)
+
+
+@settings(deadline=None)
+@given(points=st.tuples(st.integers(1, 5), SIZES).flatmap(lambda nm: matrices(*nm)))
+def test_affine_rank_is_the_lifted_rank_minus_one(points):
+    # (p, 1) rows have rank one more than the affine span of the points p
+    lifted = [row + [Q(1)] for row in points]
+    assert affine_rank([tuple(p) for p in points]) == minor_rank(lifted) - 1
+
+
+def test_affine_rank_of_no_points():
+    assert affine_rank([]) == -1
+
+
+def _coprime_integers(v):
+    assert all(isinstance(c, Q) and c.denominator == 1 for c in v)
+    g = 0
+    for c in v:
+        g = gcd(g, int(c))
+    assert g == 1
+
+
+def _ratio(v, x):
+    """The s with v = s * x, checked on every entry."""
+    k = next(i for i, c in enumerate(x) if c != 0)
+    s = v[k] / x[k]
+    assert list(v) == [s * c for c in x]
+    return s
+
+
+NONZERO = SIZES.flatmap(vectors).filter(lambda v: any(c != 0 for c in v))
+
+
+@given(x=NONZERO)
+def test_primitive_leading_entry_positive(x):
+    y = primitive(tuple(x))
+    _coprime_integers(y)
+    assert next(c for c in y if c != 0) > 0
+    assert _ratio(y, x) != 0
+
+
+@given(normal=NONZERO, offset=ENTRIES)
+def test_scale_halfspace_keeps_the_halfspace(normal, offset):
+    n, off = _scale_halfspace(tuple(normal), offset)
+    _coprime_integers(n)
+    s = _ratio(n, normal)
+    assert s > 0  # a positive scale keeps the side of the inequality
+    assert off == s * offset
+
+
+def test_zero_vectors_have_no_normal_form():
+    with pytest.raises(ValueError):
+        primitive((Q(0), Q(0)))
+    with pytest.raises(MathValidationError, match="zero normal in halfspace"):
+        _scale_halfspace((Q(0), Q(0)), Q(1))
