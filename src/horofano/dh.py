@@ -6,16 +6,25 @@ barycentric monomial over a simplex, and a float route for exponential-weighted
 moments built on tensor Gauss-Legendre quadrature mapped to each simplex of
 the fixed fan triangulation, with a Richardson-style order check.
 
-The exact barycenter expands the density once per simplex and reads the
-volume and every first moment off that one expansion (Baldoni et al., "How
-to integrate a polynomial over a simplex", Math. Comp. 2011).  The quadrature
-nodes and weights on the unit simplex depend only on (r, order); they are
-built once into a module-level table keyed by (r, order), shared by every
-simplex and every call, and each call only maps them affinely.
+Everything that does not depend on the exponent is built once per
+(polytope, density) pair and kept in a single-entry memo keyed on the
+identity of the two objects, so a freshly loaded problem always builds its
+own: the nonnegativity check, the fan triangulation, the exact density
+volume and first moments (one barycentric expansion of the density per
+simplex, Baldoni et al., "How to integrate a polynomial over a simplex",
+Math. Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``), the float
+simplex vertices and, per quadrature order, each simplex's node weights with
+the density folded in.  The unit-simplex nodes and weights depend only on
+(r, order) and live in a module-level table; each ``weighted_moments`` call
+maps the unit nodes affinely onto every simplex and hands them, with the
+stored weights and the exponent, to ``kernels.quad_moments(points, weights,
+ell)``.  The stored weights take one float per node per order: about 2 MB
+for the two orders of a B3 box (six simplices, orders 26 and 30).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial
@@ -188,22 +197,15 @@ def _require_positive(vol: Q) -> None:
 
 def dh_volume(polytope: Polytope, density: DHDensity) -> Q:
     """Exact volume of the polytope for the density measure; must be positive."""
-    _require_nonnegative(polytope, density)
-    vol = dh_moment(polytope, density)
+    vol, _ = _moment_data(polytope, density).exact
     _require_positive(vol)
     return vol
 
 
 def dh_barycenter(polytope: Polytope, density: DHDensity) -> Vec:
-    """Exact barycenter of the polytope for the density measure, from one
-    density expansion per simplex."""
-    _require_nonnegative(polytope, density)
-    vol = Q(0)
-    first = [Q(0)] * polytope.dim
-    for s in triangulate(polytope):
-        mass, moments = _simplex_mass_moments(s, density.forms)
-        vol += mass
-        first = [a + b for a, b in zip(first, moments)]
+    """Exact barycenter of the polytope for the density measure, read off
+    the same density expansion as ``dh_volume``."""
+    vol, first = _moment_data(polytope, density).exact
     _require_positive(vol)
     return tuple(m / vol for m in first)
 
@@ -263,14 +265,18 @@ def _unit_simplex_nodes(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _UNIT_NODES[key]
 
 
+def _simplex_points(verts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Unit-simplex nodes ``u`` mapped affinely onto the simplex ``verts``."""
+    return verts[0][None, :] + u @ (verts[1:] - verts[0])
+
+
 def _simplex_nodes(verts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor GL nodes mapped affinely onto a simplex from the unit table."""
     r = verts.shape[0] - 1
     u, wj = _unit_simplex_nodes(r, m)
     edges = verts[1:] - verts[0]
     detedge = abs(float(np.linalg.det(edges))) if r > 1 else abs(float(edges[0, 0]))
-    points = verts[0][None, :] + u @ edges
-    return points, wj * detedge
+    return _simplex_points(verts, u), wj * detedge
 
 
 def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
@@ -299,6 +305,73 @@ def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
     return s0 + c0, s1 + c1, s2 + c2
 
 
+class _MomentData:
+    """The exponent-independent moment data of one (polytope, density) pair.
+
+    Built after the density passes the nonnegativity check: the fan
+    triangulation and the float simplex vertices at once, the exact volume
+    and first moments on first use, and per quadrature order the node
+    weights of every simplex times the density at each node.  The node
+    coordinates are not kept; each call maps them again from the unit table.
+    """
+
+    def __init__(self, polytope: Polytope, density: DHDensity):
+        _require_nonnegative(polytope, density)
+        self.polytope, self.density = polytope, density
+        self.simplices = triangulate(polytope)
+        self.fverts = [
+            np.array([[float(c) for c in v] for v in s.vertices], dtype=np.float64)
+            for s in self.simplices
+        ]
+        self.fforms = np.array(
+            [[float(c) for c in f] for f in density.forms], dtype=np.float64
+        ).reshape(len(density.forms), polytope.dim)
+        self._weights: dict[int, list[np.ndarray]] = {}
+
+    @functools.cached_property
+    def exact(self) -> tuple[Q, list[Q]]:
+        """Exact density volume and first moments, one expansion per simplex."""
+        vol = Q(0)
+        first = [Q(0)] * self.polytope.dim
+        for s in self.simplices:
+            mass, moments = _simplex_mass_moments(s, self.density.forms)
+            vol += mass
+            first = [a + b for a, b in zip(first, moments)]
+        return vol, first
+
+    def weights(self, m: int) -> list[np.ndarray]:
+        """Per simplex, the order-m node weights times the density."""
+        if m not in self._weights:
+            table = []
+            for verts in self.fverts:
+                pts, wts = _simplex_nodes(verts, m)
+                wd = wts * np.prod(pts @ self.fforms.T, axis=1)
+                wd.flags.writeable = False
+                table.append(wd)
+            self._weights[m] = table
+        return self._weights[m]
+
+
+# the data of the last (polytope, density) pair asked for; one entry at most
+_DATA: list[_MomentData] = []
+
+
+def _moment_data(polytope: Polytope, density: DHDensity) -> _MomentData:
+    """The moment data of this pair, built on first use.
+
+    The memo is keyed on the identity of the two objects, not on their
+    values, so every load of a problem builds its own data; the entry holds
+    both objects, so their ids are not reused while it lives.
+    """
+    for data in _DATA:
+        if data.polytope is polytope and data.density is density:
+            return data
+    _DATA.clear()  # never hold two pairs' weight tables at once
+    data = _MomentData(polytope, density)
+    _DATA.append(data)
+    return data
+
+
 def weighted_moments(
     polytope: Polytope,
     density: DHDensity,
@@ -313,29 +386,20 @@ def weighted_moments(
     result is checked against order m+4; the order is raised (three times at
     most) until the relative difference drops below ``rel_tol``.
     """
-    _require_nonnegative(polytope, density)
+    data = _moment_data(polytope, density)
     r = polytope.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
     if ell.shape != (r,):
         raise MathValidationError("exponent vector has wrong dimension")
-    forms = np.array(
-        [[float(c) for c in f] for f in density.forms], dtype=np.float64
-    ).reshape(len(density.forms), r)
-    offs = np.zeros(len(density.forms))
-    simplices = triangulate(polytope)
-    fverts = [
-        np.array([[float(c) for c in v] for v in s.vertices], dtype=np.float64)
-        for s in simplices
-    ]
     m = order if order is not None else density.degree + DEFAULT_QUAD_EXTRA
     m = max(4, int(m))
 
     def summed(n):
         """Compensated sum of the order-n moments over the simplices."""
+        u, _ = _unit_simplex_nodes(r, n)
         parts = []
-        for verts in fverts:
-            pts, wts = _simplex_nodes(verts, n)
-            i0, i1, i2 = kernels.quad_moments(pts, wts, forms, offs, ell)
+        for verts, wd in zip(data.fverts, data.weights(n)):
+            i0, i1, i2 = kernels.quad_moments(_simplex_points(verts, u), wd, ell)
             parts.append((i0, np.asarray(i1), np.asarray(i2)))
         return _neumaier_reduce(parts)
 

@@ -28,17 +28,13 @@ import numpy as np
 from .errors import SolverError
 
 
-def quad_moments(points, weights, forms, offs, ell):
-    """(I0, I1, I2) of exp(<ell, p>) * prod(forms . p + offs) over weighted nodes."""
+def quad_moments(points, weights, ell):
+    """(I0, I1, I2) of exp(<ell, p>) over weighted nodes; the density, if
+    any, is already folded into the weights."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    forms = np.ascontiguousarray(forms, dtype=np.float64).reshape(-1, points.shape[1])
-    offs = np.ascontiguousarray(offs, dtype=np.float64)
     ell = np.ascontiguousarray(ell, dtype=np.float64)
-    dens = np.ones_like(weights)
-    if forms.shape[0]:
-        dens = np.prod(points @ forms.T + offs, axis=1)
-    w = weights * dens * np.exp(points @ ell)
+    w = weights * np.exp(points @ ell)
     i0 = float(np.sum(w))
     i1 = points.T @ w
     i2 = (points * w[:, None]).T @ points

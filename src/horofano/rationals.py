@@ -85,7 +85,7 @@ def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], lis
             m[r], m[pivot] = m[pivot], m[r]
             product = -product
         product *= m[r][col]
-        inv = 1 / m[r][col]
+        inv = Q(1) / m[r][col]  # a Fraction even for an integer pivot
         m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:

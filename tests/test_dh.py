@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -353,8 +354,148 @@ def test_barycenter_rejects_like_volume():
         (interval, [(1,)], "density_nonneg"),
         (triangle, [(0, 0)], "positive_volume"),
     ]:
-        dens = density_from_forms(forms)
-        for fn in (dh_volume, dh_barycenter):
-            with pytest.raises(MathValidationError) as err:
-                fn(p, dens)
-            assert err.value.condition == condition
+        # in either order on the same objects, so the second call reads
+        # whatever the first one left behind
+        for fns in ((dh_volume, dh_barycenter), (dh_barycenter, dh_volume)):
+            dens = density_from_forms(forms)
+            for fn in fns:
+                with pytest.raises(MathValidationError) as err:
+                    fn(p, dens)
+                assert err.value.condition == condition
+
+
+# ---------------------------------------------------------------------------
+# the per-problem moment data
+# ---------------------------------------------------------------------------
+
+
+def _box_vertices(center, half_widths):
+    return [
+        [str(c + s * Q(w)) for c, s, w in zip(center, signs, half_widths)]
+        for signs in itertools.product((-1, 1), repeat=len(center))
+    ]
+
+
+# non-toric inputs by their root data: B1 on an interval, and the A2 and B3
+# Levi boxes of the benchmark's 3-D family
+SPECS = {
+    "b1": {
+        "root_system": {"factors": [["B", 1]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": {"moment": {"vertices": [["1/2"], ["3"]]}},
+    },
+    "a2-levi1": {
+        "root_system": {"factors": [["A", 2]], "torus_rank": 0},
+        "levi_subset": [1],
+        "polytope": {"moment": {"vertices": _box_vertices((1, 1, -2), ("1/2", "3/8", "5/8"))}},
+    },
+    "b3-levi12": {
+        "root_system": {"factors": [["B", 3]], "torus_rank": 0},
+        "levi_subset": [1, 2],
+        "polytope": {"moment": {"vertices": _box_vertices((3, 3, 3), ("3/8", "1/2", "1/4"))}},
+    },
+}
+
+
+def _load(tmp_path, name):
+    from horofano.cli import load_problem
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SPECS[name]))
+    return load_problem(str(path)).hp
+
+
+def _counting(monkeypatch, name):
+    """Replace ``dh.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(dh, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(dh, name, wrapper)
+    return calls
+
+
+def _per_call_moments(polytope, density, ell, order):
+    """Order-``order`` moments built the per-call way: fresh nodes on every
+    simplex and the density product at every node, then the same kernel
+    arithmetic and compensated sum."""
+    forms = np.array([[float(c) for c in f] for f in density.forms]).reshape(
+        len(density.forms), polytope.dim)
+    ell = np.asarray(ell, dtype=np.float64)
+    parts = []
+    for s in triangulate(polytope):
+        verts = np.array([[float(c) for c in v] for v in s.vertices])
+        pts, wts = dh._simplex_nodes(verts, order)
+        dens = np.prod(pts @ forms.T + np.zeros(len(forms)), axis=1)
+        w = wts * dens * np.exp(pts @ ell)
+        parts.append((float(np.sum(w)), pts.T @ w, (pts * w[:, None]).T @ pts))
+    return dh._neumaier_reduce(parts)
+
+
+def test_moment_table_is_exact_and_never_stale():
+    box = from_vertices([(x, y, z) for x in (1, 2) for y in (0, 3) for z in (1, 4)])
+    tri = from_vertices([(0, 0), (3, 1), (1, 2)])
+    first = density_from_forms([(1, 0, 0), (1, 1, 0)])
+    other = density_from_forms([(0, 0, 1), (1, 0, 1), (0, 1, 0)])
+    runs = [
+        (box, first, [0.4, -0.2, 0.1]),
+        (tri, density_from_forms([(1, 1)]), [-0.3, 0.5]),
+        (box, other, [0.4, -0.2, 0.1]),
+        # equal values in new objects, then the first objects again
+        (from_vertices(box.vertices), density_from_forms(first.forms), [0.2, 0.1, -0.3]),
+        (box, first, [-0.1, 0.3, 0.2]),
+        # the same polytope object right after, with another density
+        (box, other, [-0.1, 0.3, 0.2]),
+    ]
+    for polytope, density, ell in runs:
+        m = weighted_moments(polytope, density, ell)
+        i0, i1, i2 = _per_call_moments(polytope, density, ell, m.order)
+        assert np.float64(m.i0).tobytes() == np.float64(i0).tobytes()
+        assert m.i1.tobytes() == i1.tobytes() and m.i2.tobytes() == i2.tobytes()
+        assert dh_volume(polytope, density) == dh_moment(polytope, density)
+
+
+def test_soliton_triangulates_once(tmp_path, monkeypatch):
+    from horofano import solve_soliton
+
+    hp = _load(tmp_path, "b3-levi12")
+    calls = _counting(monkeypatch, "triangulate")
+    sol = solve_soliton(hp)
+    assert sol.iterations > 0
+    hp.barycenter  # noqa: B018  (the exact route reads the same data)
+    assert len(calls) == 1
+
+
+def test_every_load_builds_its_own_table(tmp_path, monkeypatch):
+    first, second = _load(tmp_path, "a2-levi1"), _load(tmp_path, "a2-levi1")
+    calls = _counting(monkeypatch, "triangulate")
+    ell = [0.3, -0.2, 0.1]
+    m1 = weighted_moments(first.moment, first.density, ell)
+    m2 = weighted_moments(second.moment, second.density, ell)
+    assert len(calls) == 2
+    assert m1.i1.tobytes() == m2.i1.tobytes() and m1.i2.tobytes() == m2.i2.tobytes()
+    # one entry: the first load's data is gone once the second is built
+    weighted_moments(first.moment, first.density, ell)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["toric", "b1", "a2-levi1", "b3-levi12"])
+def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
+    if name == "toric":
+        p, dens = from_vertices([(-1,), (2,)]), density_from_forms([])
+    else:
+        hp = _load(tmp_path, name)
+        p, dens = hp.moment, hp.density
+    calls = _counting(monkeypatch, "_simplex_mass_moments")
+    # each density factor is expanded once per simplex and per expansion
+    factors = _counting(monkeypatch, "_affine_to_bary")
+    vol = dh_volume(p, dens)
+    bar = dh_barycenter(p, dens)
+    assert len(calls) == len(triangulate(p))
+    assert len(factors) == len(calls) * dens.degree
+    assert vol == dh_moment(p, dens)
+    units = [tuple(int(j == i) for j in range(p.dim)) for i in range(p.dim)]
+    assert bar == tuple(dh_moment(p, dens, extra_forms=[(u, 0)]) / vol for u in units)

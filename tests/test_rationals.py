@@ -103,6 +103,36 @@ def test_affine_rank_of_no_points():
     assert affine_rank([]) == -1
 
 
+def test_integer_matrices_give_fractions():
+    d = det([[1, 2], [3, 4]])
+    assert isinstance(d, Q) and d == -2
+    # a row swap and a pivot that does not divide the rest
+    d = det([[0, 2, 1], [3, 1, 0], [1, 0, 2]])
+    assert isinstance(d, Q) and d == cofactor_det([[0, 2, 1], [3, 1, 0], [1, 0, 2]])
+    x = solve_square([[3, 1], [1, 2]], [1, 1])
+    assert all(isinstance(c, Q) for c in x) and x == (Q(1, 5), Q(2, 5))
+    n = nullspace_vector([(2, 3, 5), (7, 11, 13)], 3)
+    assert all(isinstance(c, Q) for c in n)
+    assert all(sum((a * c for a, c in zip(row, n)), Q(0)) == 0 for row in [(2, 3, 5), (7, 11, 13)])
+
+
+@settings(deadline=None)
+@given(system=SIZES.flatmap(
+    lambda n: st.tuples(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                                 min_size=n, max_size=n),
+                        st.lists(st.integers(-4, 4), min_size=n, max_size=n))))
+def test_integer_systems_solve_exactly(system):
+    a, b = system
+    d = det(a)
+    assert isinstance(d, Q) and d == cofactor_det([[Q(c) for c in row] for row in a])
+    x = solve_square(a, b)
+    if d == 0:
+        assert x is None
+    else:
+        assert all(isinstance(c, Q) for c in x)
+        assert [sum((r * c for r, c in zip(row, x)), Q(0)) for row in a] == b
+
+
 def _coprime_integers(v):
     assert all(isinstance(c, Q) and c.denominator == 1 for c in v)
     g = 0
