@@ -176,7 +176,7 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
                 "reflectivity validation failed: " + "; ".join(failed),
                 condition="reflectivity",
             )
-        moment = moment_polytope(q_poly, pd)
+        moment = moment_polytope(q_poly, pd.kappa)
     else:
         moment = polytope_from_json(poly_spec["moment"], "polytope.moment")
 

@@ -1,8 +1,10 @@
 """Integration over the moment polytope against the product-of-roots density.
 
-Two routes: an exact rational route for polynomial integrands (volume,
-barycenter, polynomial moments) built on the closed-form integral of a
-barycentric monomial over a simplex, and a float route for exponential-weighted
+Two routes: an exact route for polynomial integrands (volume, barycenter,
+polynomial moments) built on the closed-form integral of a barycentric
+monomial over a simplex, which expands a product of affine forms with
+integer coefficients over one common denominator and builds one
+``Fraction`` per result, and a float route for exponential-weighted
 moments built on tensor Gauss-Legendre quadrature mapped to each simplex of
 the fixed fan triangulation, with a Richardson-style order check.
 
@@ -27,14 +29,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 
 from . import kernels
 from .errors import MathValidationError, QuadratureError
 from .polytopes import Polytope, Simplex, triangulate
-from .rationals import Vec, vdot
+from .rationals import Vec, scaled_integers, vdot
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
@@ -67,41 +69,68 @@ def density_from_forms(forms) -> DHDensity:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict[tuple[int, ...], Q] = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(e, Q(0)) + c1 * c2
-            if c == 0:
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
+def _vertex_values(verts, scale: int, coeffs: Vec, offset: Q) -> tuple[list[int], int]:
+    """The values of x -> <coeffs, x> + offset at the points ``verts / scale``
+    (integer tuples), as integers over one positive denominator, the lcm of
+    the values' own denominators."""
+    (row,), m = scaled_integers([(*coeffs, offset)])
+    ints, shift = row[:-1], row[-1] * scale
+    values = [shift + sum(a * b for a, b in zip(ints, v)) for v in verts]
+    g = gcd(m * scale, *values)
+    return [v // g for v in values], m * scale // g
 
 
-def _affine_to_bary(simplex: Simplex, coeffs: Vec, offset: Q) -> dict:
-    """A degree-1 polynomial as a barycentric form: its vertex values."""
-    nverts = len(simplex.vertices)
-    poly = {}
-    for j, v in enumerate(simplex.vertices):
-        val = vdot(coeffs, v) + offset
-        if val != 0:
-            e = tuple(1 if i == j else 0 for i in range(nverts))
-            poly[e] = val
-    return poly
+def _simplex_mass_moments(simplex: Simplex, affine) -> tuple[Q, list[Q]]:
+    """Integral over a simplex of the product of the affine forms
+    ``(coeffs, offset)`` and its first moments, from one barycentric
+    expansion of the product in integers.
 
-
-def _integrate_bary(simplex: Simplex, poly: dict) -> Q:
+    Each factor is the barycentric form with its vertex values, integers
+    over a denominator s_f.  The product of k factors is a sum of
+    c_a lambda^a with |a| = k, kept as a dict keyed by the exponents a read
+    as base-(k + 1) digits.  The integral of lambda^a is d! vol prod(a!) /
+    (k + d)!; with x = sum_j lambda_j v_j, the moment of x_i is sum_j v_j[i]
+    times the integral of lambda_j lambda^a, the same closed form with a_j
+    raised by one: d! vol prod(a!) (a_j + 1) / (k + d + 1)!.  As d! vol is
+    det / L^d, with det = |det| of the edges scaled by L (``Simplex.scaled``),
+    the mass and each moment are one integer sum over one integer
+    denominator.
+    """
     d = simplex.dim
-    vol = simplex.volume()
-    total = Q(0)
-    for exps, coeff in poly.items():
-        num = factorial(d)
-        for a in exps:
-            num *= factorial(a)
-        total += coeff * Q(num, factorial(sum(exps) + d))
-    return vol * total
+    verts, scale, det = simplex.scaled()
+    base = len(affine) + 1
+    shifts = [base**j for j in range(d + 1)]
+    poly, denom = {0: 1}, 1
+    for coeffs, offset in affine:
+        values, s = _vertex_values(verts, scale, coeffs, offset)
+        if not any(values):
+            return Q(0), [Q(0)] * d
+        denom *= s
+        out: dict[int, int] = {}
+        for key, c in poly.items():
+            for shift, v in zip(shifts, values):
+                if v:
+                    out[key + shift] = out.get(key + shift, 0) + c * v
+        poly = out
+    fact = [factorial(a) for a in range(base)]
+    mass = 0
+    lam = [0] * (d + 1)  # sum over a of c_a prod(a!) (a_j + 1)
+    for key, c in poly.items():
+        exps = []
+        for _ in range(d + 1):
+            key, a = divmod(key, base)
+            c *= fact[a]
+            exps.append(a)
+        mass += c
+        for j, a in enumerate(exps):
+            lam[j] += c * (a + 1)
+    n = len(affine) + d
+    moments = [
+        Q(det * sum(lj * v[i] for lj, v in zip(lam, verts)),
+          scale ** (d + 1) * factorial(n + 1) * denom)
+        for i in range(d)
+    ]
+    return Q(det * mass, scale**d * factorial(n) * denom), moments
 
 
 def integrate_poly_simplex(simplex: Simplex, forms=None, monomial=None) -> Q:
@@ -130,12 +159,7 @@ def integrate_poly_simplex(simplex: Simplex, forms=None, monomial=None) -> Q:
                 f"form {k} {f!r} is not a (coeffs, offset) pair with {d} coefficients",
                 condition="form",
             ) from None
-    poly = {tuple(0 for _ in range(d + 1)): Q(1)}
-    for coeffs, off in affine:
-        poly = _poly_mul(poly, _affine_to_bary(simplex, coeffs, off))
-        if not poly:
-            return Q(0)
-    return _integrate_bary(simplex, poly)
+    return _simplex_mass_moments(simplex, affine)[0]
 
 
 def dh_moment(polytope: Polytope, density: DHDensity, extra_forms=()) -> Q:
@@ -146,39 +170,6 @@ def dh_moment(polytope: Polytope, density: DHDensity, extra_forms=()) -> Q:
     return sum(
         (integrate_poly_simplex(s, forms=forms) for s in triangulate(polytope)), Q(0)
     )
-
-
-def _simplex_mass_moments(simplex: Simplex, forms) -> tuple[Q, list[Q]]:
-    """Integral of the product of ``forms`` over a simplex and its first
-    moments, from one barycentric expansion of the product.
-
-    With x = sum_j lambda_j v_j, the moment of x_i is sum_j v_j[i] times the
-    integral of lambda_j * p, which is the closed form with exponent j raised
-    by one: d! prod(a!) (a_j + 1) / (|a| + d + 1)!.
-    """
-    d = simplex.dim
-    poly = {tuple(0 for _ in range(d + 1)): Q(1)}
-    for f in forms:
-        poly = _poly_mul(poly, _affine_to_bary(simplex, f, Q(0)))
-        if not poly:
-            return Q(0), [Q(0)] * d
-    mass = Q(0)
-    lam = [Q(0)] * (d + 1)  # integral of lambda_j * p divided by the volume
-    for exps, coeff in poly.items():
-        num = factorial(d)
-        for a in exps:
-            num *= factorial(a)
-        n = sum(exps) + d
-        mass += coeff * Q(num, factorial(n))
-        c1 = coeff * Q(num, factorial(n + 1))
-        for j, a in enumerate(exps):
-            lam[j] += c1 * (a + 1)
-    vol = simplex.volume()
-    moments = [
-        vol * sum((lj * v[i] for lj, v in zip(lam, simplex.vertices)), Q(0))
-        for i in range(d)
-    ]
-    return vol * mass, moments
 
 
 def _require_nonnegative(polytope: Polytope, density: DHDensity) -> None:
@@ -333,8 +324,9 @@ class _MomentData:
         """Exact density volume and first moments, one expansion per simplex."""
         vol = Q(0)
         first = [Q(0)] * self.polytope.dim
+        affine = [(f, Q(0)) for f in self.density.forms]
         for s in self.simplices:
-            mass, moments = _simplex_mass_moments(s, self.density.forms)
+            mass, moments = _simplex_mass_moments(s, affine)
             vol += mass
             first = [a + b for a, b in zip(first, moments)]
         return vol, first

@@ -4,6 +4,11 @@ Both representations (vertices and facets ``{y : <normal, y> <= offset}``) are
 kept in canonical sorted order, so structurally equal polytopes compare equal.
 Construction, duality, support values and triangulation are exact; ambient
 dimensions 1 to 3 are supported, which covers every desk-scale problem here.
+Coordinates are ``Fraction``s, but the facet and vertex enumerations and the
+simplex volume compute in Python integers: points are scaled once by the lcm
+of their denominators (each facet inequality by its own), normals are signed
+maximal minors of integer edges and vertices come from Cramer's rule, with
+one ``Fraction`` built per result entry.
 """
 
 from __future__ import annotations
@@ -12,18 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 from .errors import MathValidationError, SchemaError
 from .rationals import (
     Vec,
     affine_rank,
     coprime_integers,
-    det,
     format_rational,
+    int_det,
     nullspace_vector,
     parse_rational,
-    primitive,
+    scaled_integers,
     solve_square,
     vadd,
     vdot,
@@ -90,11 +95,19 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def volume(self) -> Q:
-        d = det([vsub(v, self.vertices[0]) for v in self.vertices[1:]])
+    def scaled(self) -> tuple[list[tuple[int, ...]], int, int]:
+        """The vertices times L as integer tuples (``scaled_integers``), L,
+        and |det| of the scaled edges, which is dim! L^dim times the volume."""
+        verts, scale = scaled_integers(self.vertices)
+        base = verts[0]
+        d = int_det([[a - b for a, b in zip(v, base)] for v in verts[1:]])
         if d == 0:
             raise MathValidationError("degenerate simplex")
-        return abs(d) / factorial(self.dim)
+        return verts, scale, abs(d)
+
+    def volume(self) -> Q:
+        _, scale, d = self.scaled()
+        return Q(d, scale**self.dim * factorial(self.dim))
 
 
 def _scale_halfspace(normal: Vec, offset: Q) -> Facet:
@@ -110,32 +123,47 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Facet]:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
         return sorted([((Q(1),), hi), ((Q(-1),), -lo)])
-    facets: set[Facet] = set()
-    for subset in combinations(points, dim):
-        rows = [vsub(p, subset[0]) for p in subset[1:]]
-        normal = nullspace_vector(rows, dim)
-        if normal is None:
+    # in integer coordinates y = L x: a candidate normal is the vector of
+    # signed maximal minors of the edges (their cross product in 3-D, the
+    # perpendicular in 2-D) over its gcd; either sign may come out, and
+    # each facet is kept with its outward sign
+    pts, scale = scaled_integers(points)
+    facets: set[tuple[tuple[int, ...], int]] = set()
+    for subset in combinations(pts, dim):
+        base = subset[0]
+        edges = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
+        normal = [(-1) ** j * int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(dim)]
+        g = gcd(*normal)
+        if g == 0:
             continue
-        normal = primitive(normal)
-        offset = vdot(normal, subset[0])
-        values = [vdot(normal, p) for p in points]
+        normal = tuple(c // g for c in normal)
+        offset = sum(a * b for a, b in zip(normal, base))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
         if all(v <= offset for v in values):
             facets.add((normal, offset))
         if all(v >= offset for v in values):
             facets.add((tuple(-a for a in normal), -offset))
-    return sorted(facets)
+    return sorted((tuple(Q(c) for c in n), Q(off, scale)) for n, off in facets)
 
 
 def _vertices_from_facets(facets: list[Facet], dim: int) -> list[Vec]:
+    # each facet as coprime integers (n, c) with n.x <= c; Cramer's rule
+    # gives a vertex x = y / d, feasible when n.y <= c d for d > 0
+    rows = [coprime_integers((*n, off))[0] for n, off in facets]
     vertices: set[Vec] = set()
-    for subset in combinations(facets, dim):
-        a = [list(n) for n, _ in subset]
-        b = [off for _, off in subset]
-        x = solve_square(a, b)
-        if x is None:
+    for subset in combinations(rows, dim):
+        m = [row[:dim] for row in subset]
+        d = int_det(m)
+        if d == 0:
             continue
-        if all(vdot(n, x) <= off for n, off in facets):
-            vertices.add(x)
+        y = [
+            int_det([r[:i] + [row[dim]] + r[i + 1:] for r, row in zip(m, subset)])
+            for i in range(dim)
+        ]
+        if d < 0:
+            d, y = -d, [-c for c in y]
+        if all(sum(a * b for a, b in zip(row, y)) <= row[dim] * d for row in rows):
+            vertices.add(tuple(Q(c, d) for c in y))
     return sorted(vertices)
 
 
@@ -284,28 +312,19 @@ def polytope_volume(p: Polytope) -> Q:
     return sum((s.volume() for s in triangulate(p)), Q(0))
 
 
-def moment_polytope(q: Polytope, pd) -> Polytope:
+def moment_polytope(q: Polytope, kappa: Vec) -> Polytope:
     """The shift of the dual polytope by the parabolic vector kappa."""
-    kappa = tuple(Q(c) for c in (pd.kappa if hasattr(pd, "kappa") else pd))
+    kappa = tuple(Q(c) for c in kappa)
     if len(kappa) != q.dim:
         raise MathValidationError("kappa dimension does not match the polytope")
-    dual = dual_polytope(q)
-    result = dual.translate(kappa)
-    if not result.contains(kappa, strict=True):
-        raise MathValidationError(
-            "kappa is not interior to the moment polytope", condition="kappa_interior"
-        )
-    return result
+    return dual_polytope(q).translate(kappa)
 
 
-def delta_from_moment(moment: Polytope, pd) -> Polytope:
-    """The reflection-translate kappa - moment; contains 0 in its interior."""
-    kappa = tuple(Q(c) for c in (pd.kappa if hasattr(pd, "kappa") else pd))
-    if not moment.contains(kappa, strict=True):
-        raise MathValidationError(
-            "kappa must be interior to the moment polytope", condition="kappa_interior"
-        )
-    return moment.reflect_through(kappa)
+def delta_from_moment(moment: Polytope, kappa: Vec) -> Polytope:
+    """The reflection-translate kappa - moment; it contains 0 in its interior
+    exactly when kappa is interior to the moment polytope, which
+    ``HorosphericalProblem.validate`` checks."""
+    return moment.reflect_through(tuple(Q(c) for c in kappa))
 
 
 def in_lattice(point: Vec, basis) -> bool:

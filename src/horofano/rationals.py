@@ -1,8 +1,11 @@
 """Exact rational vectors, matrices and small linear solves.
 
 Vectors are immutable tuples of ``Fraction``; the solves take a matrix as a
-sequence of rows and share one Gauss-Jordan elimination.  Everything here
-is exact, deterministic and free of floats.
+sequence of rows and share one Gauss-Jordan elimination.  The integer
+routes of the polytope and density code scale rational rows to integers
+once (``scaled_integers``, ``coprime_integers``) and take small
+determinants in integers (``int_det``).  Everything here is exact,
+deterministic and free of floats.
 """
 
 from __future__ import annotations
@@ -42,38 +45,39 @@ def vsum(vectors: Sequence[Vec], dim: int) -> Vec:
     return out
 
 
+def scaled_integers(rows: Sequence[Sequence[Q]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows times L, the lcm of all their denominators, as integer
+    tuples, and L."""
+    scale = lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows], scale
+
+
 def coprime_integers(x: Sequence[Q]) -> tuple[list[int], Q]:
     """The coprime integer entries of s * x and the positive rational s; s is
     0 for a zero (or empty) vector, which has no such scaling."""
-    denom = lcm(*(a.denominator for a in x))
-    ints = [int(a * denom) for a in x]
+    (ints,), denom = scaled_integers([x])
     g = gcd(*ints)
     if g == 0:
-        return ints, Q(0)
+        return list(ints), Q(0)
     return [n // g for n in ints], Q(denom, g)
 
 
-def primitive(x: Vec) -> Vec:
-    """Scale a nonzero rational vector to integer entries with gcd 1 and
-    positive leading nonzero entry."""
-    ints, scale = coprime_integers(x)
-    if scale == 0:
-        raise ValueError("zero vector has no primitive form")
-    sign = 1 if next(n for n in ints if n != 0) > 0 else -1
-    return tuple(Q(sign * n) for n in ints)
+def int_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 1x1, 2x2 or 3x3 integer matrix by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], list[int], Q]:
+def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], list[int]]:
     """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``;
-    any later column (a right-hand side) is carried along.
-
-    Returns the reduced row echelon form, its pivot columns and the product
-    of the pivots, negated once per row swap: for a square matrix with a
-    pivot in every column that product is the determinant.
-    """
+    any later column (a right-hand side) is carried along.  Returns the
+    reduced row echelon form and its pivot columns."""
     m = [list(row) for row in rows]
     pivots: list[int] = []
-    product = Q(1)
     for col in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -81,10 +85,7 @@ def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], lis
         pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            product = -product
-        product *= m[r][col]
+        m[r], m[pivot] = m[pivot], m[r]
         inv = Q(1) / m[r][col]  # a Fraction even for an integer pivot
         m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
@@ -92,13 +93,13 @@ def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], lis
                 f = m[i][col]
                 m[i] = [v - f * w for v, w in zip(m[i], m[r])]
         pivots.append(col)
-    return m, pivots, product
+    return m, pivots
 
 
 def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
     """Solve ``a x = b`` exactly; return None when ``a`` is singular."""
     n = len(b)
-    m, pivots, _ = _reduce([(*row, bi) for row, bi in zip(a, b)], n)
+    m, pivots = _reduce([(*row, bi) for row, bi in zip(a, b)], n)
     if len(pivots) < n:
         return None
     return tuple(row[n] for row in m)
@@ -107,7 +108,7 @@ def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
 def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
     """A nonzero exact solution of ``rows @ x = 0`` when the rows have rank
     ``dim - 1``; None otherwise."""
-    m, pivots, _ = _reduce(rows, dim)
+    m, pivots = _reduce(rows, dim)
     if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
@@ -124,12 +125,6 @@ def affine_rank(points: Sequence[Vec]) -> int:
         return -1
     base = points[0]
     return len(_reduce([vsub(p, base) for p in points[1:]], len(base))[1])
-
-
-def det(rows: Sequence[Sequence[Q]]) -> Q:
-    """Exact determinant of a square matrix."""
-    _, pivots, product = _reduce(rows, len(rows))
-    return product if len(pivots) == len(rows) else Q(0)
 
 
 def parse_rational(value, field: str = "") -> Q:

@@ -96,6 +96,26 @@ def test_math_error_kappa_not_interior(tmp_path):
     assert main(["validate", "--input", write(tmp_path, bad)]) == 3
 
 
+@pytest.mark.parametrize("polytope, message", [
+    # B1 has kappa = 1: given Q, kappa can only reach the boundary of the
+    # moment polytope kappa + dual(Q) when 0 is not interior to Q, which
+    # reflectivity condition (1) refuses before the moment polytope is built
+    ({"Q": {"vertices": [["0"], ["1"]]}},
+     "reflectivity condition (1) failed: 0 is not interior to Q"),
+    ({"moment": {"vertices": [["1"], ["3"]]}},
+     "kappa is not interior to the moment polytope"),
+])
+def test_kappa_on_the_moment_boundary_exits_3(tmp_path, capsys, polytope, message):
+    spec = {
+        "root_system": {"factors": [["B", 1]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": polytope,
+    }
+    for command in ("validate", "invariants", "all"):
+        assert main([command, "--input", write(tmp_path, spec)]) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_math_error_nonreflective_q(tmp_path):
     bad = dict(REFLECTIVE_SQUARE)
     bad["polytope"] = {"Q": {"vertices": [["1", "1"], ["2", "1"], ["1", "2"], ["2", "2"]]}}

@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import exact_reference as ref
 from horofano import (
     MathValidationError,
     QuadratureError,
@@ -186,8 +187,8 @@ def test_weighted_moments_polynomial_degree_exactness():
     p = from_vertices([(0, 0), (2, 0), (0, 2)])
     dens = density_from_forms([(1, 1)])
     m = weighted_moments(p, dens, [0.0, 0.0])
-    exact_i2_xx = dh_moment(
-        p, dens, extra_forms=[((Q(1), Q(0)), Q(0)), ((Q(1), Q(0)), Q(0))]
+    exact_i2_xx = ref.polytope_integral(
+        p.vertices, p.facets, [((1, 1), 0), ((1, 0), 0), ((1, 0), 0)]
     )
     assert abs(m.i2[0, 0] - float(exact_i2_xx)) < 1e-13
 
@@ -308,12 +309,6 @@ def _random_rational(rng, lo, hi, den=4):
     return Q(rng.randint(lo * den, hi * den), den)
 
 
-def _reference_barycenter(p, dens):
-    vol = dh_volume(p, dens)
-    units = [tuple(Q(int(j == i)) for j in range(p.dim)) for i in range(p.dim)]
-    return tuple(dh_moment(p, dens, extra_forms=[(u, 0)]) / vol for u in units)
-
-
 def test_barycenter_single_expansion_matches_reference_route():
     # random rational boxes and simplices in the positive orthant with
     # nonnegative forms, so the density is nonnegative on every draw
@@ -344,7 +339,8 @@ def test_barycenter_single_expansion_matches_reference_route():
     assert len(cases) >= 15
     for p, forms in cases:
         dens = density_from_forms(forms)
-        assert dh_barycenter(p, dens) == _reference_barycenter(p, dens)
+        vol, bar = ref.volume_and_barycenter(p.vertices, p.facets, dens.forms)
+        assert dh_volume(p, dens) == vol and dh_barycenter(p, dens) == bar
 
 
 def test_barycenter_rejects_like_volume():
@@ -455,7 +451,8 @@ def test_moment_table_is_exact_and_never_stale():
         i0, i1, i2 = _per_call_moments(polytope, density, ell, m.order)
         assert np.float64(m.i0).tobytes() == np.float64(i0).tobytes()
         assert m.i1.tobytes() == i1.tobytes() and m.i2.tobytes() == i2.tobytes()
-        assert dh_volume(polytope, density) == dh_moment(polytope, density)
+        vol, _ = ref.volume_and_barycenter(polytope.vertices, polytope.facets, density.forms)
+        assert dh_volume(polytope, density) == vol
 
 
 def test_soliton_triangulates_once(tmp_path, monkeypatch):
@@ -490,12 +487,10 @@ def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
         hp = _load(tmp_path, name)
         p, dens = hp.moment, hp.density
     calls = _counting(monkeypatch, "_simplex_mass_moments")
-    # each density factor is expanded once per simplex and per expansion
-    factors = _counting(monkeypatch, "_affine_to_bary")
+    # each density factor is scaled to integers once per simplex
+    factors = _counting(monkeypatch, "_vertex_values")
     vol = dh_volume(p, dens)
     bar = dh_barycenter(p, dens)
     assert len(calls) == len(triangulate(p))
     assert len(factors) == len(calls) * dens.degree
-    assert vol == dh_moment(p, dens)
-    units = [tuple(int(j == i) for j in range(p.dim)) for i in range(p.dim)]
-    assert bar == tuple(dh_moment(p, dens, extra_forms=[(u, 0)]) / vol for u in units)
+    assert (vol, bar) == ref.volume_and_barycenter(p.vertices, p.facets, dens.forms)

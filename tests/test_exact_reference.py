@@ -1,0 +1,118 @@
+"""The integer routes of the exact core against the ``Fraction`` routes of
+``exact_reference``: equal values, and ``Fraction``s throughout."""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import exact_reference as ref
+from horofano import Simplex, from_halfspaces, from_vertices, integrate_poly_simplex
+from horofano.dh import _simplex_mass_moments
+from horofano.errors import MathValidationError
+
+# small integers, halves and thirds, and denominators up to 10^6
+COORDS = st.one_of(
+    st.integers(-3, 3).map(Q),
+    st.builds(Q, st.integers(-12, 12), st.sampled_from([2, 3, 4, 6])),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+)
+
+
+def _all_fractions(vectors):
+    return all(type(c) is Q for v in vectors for c in v)
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points in dims 1-3 with duplicates, points interior to the
+    hull of the others, and (in 3-D) extra points on the plane of three."""
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=dim + 1, max_size=dim + 5))
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    if dim == 3 and len(pts) >= 3 and draw(st.booleans()):
+        a, b, c = pts[:3]
+        s, t = draw(COORDS), draw(COORDS)
+        pts.append(tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c)))
+    return pts
+
+
+@settings(deadline=None, max_examples=100)
+@given(pts=point_sets())
+def test_from_vertices_matches_the_fraction_route(pts):
+    dim = len(pts[0])
+    if ref.rank(pts) < dim:
+        with pytest.raises(MathValidationError):
+            from_vertices(pts)
+        return
+    p = from_vertices(pts)
+    vertices, facets = ref.from_vertices(pts)
+    assert p.vertices == vertices and p.facets == facets
+    assert _all_fractions(p.vertices)
+    assert _all_fractions(n for n, _ in p.facets) and _all_fractions([[o for _, o in p.facets]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(pts=point_sets(), data=st.data())
+def test_from_halfspaces_matches_the_fraction_route(pts, data):
+    dim = len(pts[0])
+    assume(ref.rank(pts) == dim)
+    _, facets = ref.from_vertices(pts)
+    halfspaces = []
+    for normal, offset in facets:
+        # rescaled by a positive rational, so the normals are not primitive
+        s = data.draw(st.fractions(min_value=Q(1, 10**6), max_value=10**3).filter(bool))
+        halfspaces.append(([s * c for c in normal], s * offset))
+    for _ in range(data.draw(st.integers(0, 2))):  # redundant halfspaces
+        normal, offset = data.draw(st.sampled_from(facets))
+        halfspaces.append((normal, offset + data.draw(st.fractions(0, 2, max_denominator=7))))
+    p = from_halfspaces(halfspaces)
+    vertices, facets = ref.from_halfspaces(halfspaces)
+    assert p.vertices == vertices and p.facets == facets
+    assert _all_fractions(p.vertices) and _all_fractions([[o for _, o in p.facets]])
+
+
+@st.composite
+def simplices_and_forms(draw):
+    """A nondegenerate rational simplex and up to five affine forms; one may
+    vanish at a vertex, one may be the zero form, which vanishes on it all."""
+    dim = draw(st.integers(1, 3))
+    verts = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=dim + 1, max_size=dim + 1))
+    assume(ref.simplex_volume(verts) != 0)
+    forms = draw(st.lists(st.tuples(st.tuples(*[COORDS] * dim), COORDS), max_size=5))
+    if forms and draw(st.booleans()):
+        coeffs, _ = forms[0]
+        v = draw(st.sampled_from(verts))
+        forms[0] = (coeffs, -sum(a * b for a, b in zip(coeffs, v)))
+    if draw(st.booleans()):
+        forms.insert(draw(st.integers(0, len(forms))), ((Q(0),) * dim, Q(0)))
+    return verts, forms
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=simplices_and_forms())
+def test_mass_and_moments_match_the_fraction_route(case):
+    verts, forms = case
+    simplex = Simplex(vertices=tuple(verts))
+    mass, moments = _simplex_mass_moments(simplex, forms)
+    ref_mass, ref_moments = ref.simplex_mass_moments(verts, forms)
+    assert mass == ref_mass and moments == ref_moments
+    assert type(mass) is Q and _all_fractions([moments])
+    assert integrate_poly_simplex(simplex, forms=forms) == ref_mass
+    assert simplex.volume() == ref.simplex_volume(verts)
+
+
+def test_forms_vanishing_at_a_vertex_and_everywhere():
+    tri = ((Q(0), Q(0)), (Q(2), Q(0)), (Q(0), Q(3)))
+    simplex = Simplex(vertices=tri)
+    at_vertex = ((Q(1), Q(-1, 3)), Q(0))  # zero at the vertex (0, 0) only
+    forms = [at_vertex, ((Q(1, 2), Q(1)), Q(1, 7))]
+    mass, moments = _simplex_mass_moments(simplex, forms)
+    assert (mass, moments) == ref.simplex_mass_moments(tri, forms) and mass != 0
+    zero = ((Q(0), Q(0)), Q(0))
+    assert _simplex_mass_moments(simplex, forms + [zero]) == (Q(0), [Q(0), Q(0)])

@@ -15,6 +15,7 @@ from horofano import (
     parabolic_data,
     polytope_volume,
     support_value,
+    synthetic_problem,
     triangulate,
     validate_reflective,
 )
@@ -162,11 +163,12 @@ def test_moment_polytope_examples():
     rd = build_root_system([], torus_rank=1)
     pd = parabolic_data(rd, [])
     # toric, self-dual interval
-    assert moment_polytope(from_vertices([(-1,), (1,)]), pd).vertices == (
+    assert moment_polytope(from_vertices([(-1,), (1,)]), pd.kappa).vertices == (
         (Q(-1),), (Q(1),),
     )
     # toric square -> diamond
-    mom = moment_polytope(from_vertices(SQUARE), parabolic_data(build_root_system([], torus_rank=2), []))
+    pd2 = parabolic_data(build_root_system([], torus_rank=2), [])
+    mom = moment_polytope(from_vertices(SQUARE), pd2.kappa)
     assert set(mom.vertices) == {(Q(1), Q(0)), (Q(-1), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1))}
     # shifted: Q = [-1/2, 1], kappa = 1 gives moment [0, 3]
     mom1 = moment_polytope(from_vertices([(Q(-1, 2),), (1,)]), (Q(1),))
@@ -184,16 +186,19 @@ def test_delta_from_moment_examples():
     assert delta_from_moment(from_vertices([(0,), (3,)]), (Q(1),)).vertices == (
         (Q(-2),), (Q(1),),
     )
-    with pytest.raises(MathValidationError):
-        delta_from_moment(from_vertices([(1,), (3,)]), (Q(0),))
+    # kappa outside or on the boundary: HorosphericalProblem.validate decides
+    for kappa in [(Q(0),), (Q(1),)]:
+        with pytest.raises(MathValidationError) as info:
+            synthetic_problem(from_vertices([(1,), (3,)]), kappa=kappa)
+        assert info.value.condition == "kappa_interior"
 
 
 def test_moment_then_delta_contains_zero():
     rd = build_root_system([("A", 1)])
     pd = parabolic_data(rd, [])
     q = from_vertices([(-1, 0), (1, 0), (0, -1), (0, 1), (Q(1, 2), Q(-1, 2))])
-    mom = moment_polytope(q, pd)
-    delta = delta_from_moment(mom, pd)
+    mom = moment_polytope(q, pd.kappa)
+    delta = delta_from_moment(mom, pd.kappa)
     assert delta.contains(tuple(Q(0) for _ in range(2)), strict=True)
 
 
