@@ -3,7 +3,14 @@ tridiagonal Jacobian and admissibility mask, and the tridiagonal solve.
 
 The 1-D residual is evaluated on every Newton line-search trial; the
 Jacobian bands and the admissibility mask are built from the parts it
-returns, only for the iterates the line search accepts.
+returns, only for the iterates the line search accepts.  A trial copies the
+potential once into the ghost-extended buffer of ``stencil_1d``, forms the
+second difference (and, where something reads it, the centred gradient) in
+place, then the exponential term and the residual.  With no soliton field
+and no density forms, as on the whole zero-field toric path, the gradient
+would only enter multiplied by a zero field, so it is skipped; this leaves
+every bit of every accepted trial unchanged (``residual_1d`` gives the
+argument).
 
 Everything is numpy, except the tridiagonal solve, which calls LAPACK
 ``dgtsv`` (LU with partial pivoting).  ``thomas`` binds it on its first call
@@ -46,51 +53,92 @@ def quad_moments(points, weights, ell):
 # ---------------------------------------------------------------------------
 
 
-def stencil_1d(u, h, qlo, qhi, bcoef, boff):
+def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
     """The 1-D finite-difference stencil of a grid potential ``u``.
 
-    Returns (uext, second, grad, terms): ``u`` with one ghost node on each
-    side, extending it affinely with the extreme slopes ``qlo`` / ``qhi`` of
-    the gradient polytope (the truncation boundary condition); the second
-    difference and the centred gradient at every node; and the density
-    factors boff - grad * bcoef / 2, one column per form.
+    Returns (uext, second, grad, terms): ``u`` as float64 with one ghost
+    node on each side, extending it affinely with the extreme slopes
+    ``qlo`` / ``qhi`` of the gradient polytope (the truncation boundary
+    condition); the second difference and the centred gradient at every
+    node; and the density factors boff - grad * bcoef / 2, one column per
+    form (an (n, 0) array without forms).
+
+    ``uext`` is one fresh buffer and the differences are formed in place,
+    in the operation order of (uext[2:] - 2u + uext[:-2]) / h^2 and
+    (uext[2:] - uext[:-2]) / (2h), so their bits do not depend on how they
+    are assembled.  With ``gradient=False`` and no forms nothing reads the
+    gradient: it is not computed and ``grad`` is None.  ``bcoef`` and
+    ``boff`` are float64 arrays, as ``build_setup`` makes them.
     """
-    uext = np.concatenate(([u[0] - h * qlo], u, [u[-1] + h * qhi]))
-    second = (uext[2:] - 2.0 * u + uext[:-2]) / (h * h)
-    grad = (uext[2:] - uext[:-2]) / (2.0 * h)
-    terms = boff[None, :] - 0.5 * grad[:, None] * bcoef[None, :]
+    n, k = len(u), bcoef.shape[0]
+    uext = np.empty(n + 2)
+    uext[1:-1] = u
+    uext[0] = uext[1] - h * qlo
+    uext[-1] = uext[-2] + h * qhi
+    right, left = uext[2:], uext[:-2]
+    second = np.multiply(uext[1:-1], 2.0)
+    np.subtract(right, second, out=second)
+    np.add(second, left, out=second)
+    np.divide(second, h * h, out=second)
+    grad = None
+    if gradient or k:
+        grad = np.subtract(right, left)
+        np.divide(grad, 2.0 * h, out=grad)
+    terms = boff[None, :] - 0.5 * grad[:, None] * bcoef[None, :] if k else np.empty((n, 0))
     return uext, second, grad, terms
 
 
 def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False, closed_r=False):
     """Residual of the normalized discrete 1-D equation,
     F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi), on the stencil
-    ``stencil_1d``.
+    ``stencil_1d``, with w = t u + (1 - t) u0.
 
     The Newton line search calls this on every trial.  Returns (f, parts):
     parts = (second, terms, dens, rhs) are the second differences, density
     factors, density (the scalar 1.0 when there are no forms) and
     exponential term at every node, from which ``jacobian_1d`` assembles the
-    bands of an accepted iterate without recomputing them.
+    bands of an accepted iterate without recomputing them.  ``u0``,
+    ``bcoef`` and ``boff`` are float64 arrays, as ``build_setup`` makes
+    them; ``u`` is copied into the stencil's float64 buffer.
+
+    With ``xi == 0`` (either sign) and no density forms, as on the whole
+    zero-field toric path, the centred gradient would only enter as
+    ``grad * xi``, so the stencil skips it and the exponent is -w.  This is
+    exact: for a finite gradient ``grad * xi`` is a signed zero and
+    -w - (+-0) has the bits of -w, or differs only in the sign of a zero,
+    which exp maps to the same 1.0.  Where the gradient is not finite, the
+    trial's merit is inf or nan, so the line search rejects it whichever
+    value that node holds.  A non-finite entry of ``u`` makes its own second
+    difference non-finite.  Otherwise a finite merit needs exp(-w) finite,
+    so ``u`` is bounded below, and a centred difference beyond 2h times the
+    largest float then puts a neighbour of the node so high that exp(-w) is
+    0 from there on: each residual there is the second difference over c
+    alone, which a finite merit keeps below about 1e154, far too little to
+    bend that slope back to the boundary slope within the grid.
     """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    u0 = np.ascontiguousarray(u0, dtype=np.float64)
-    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
-    boff = np.ascontiguousarray(boff, dtype=np.float64)
     h, t, xi, invc = float(h), float(t), float(xi), float(invc)
-    _, second, grad, terms = stencil_1d(u, h, float(qlo), float(qhi), bcoef, boff)
+    uext, second, grad, terms = stencil_1d(
+        u, h, float(qlo), float(qhi), bcoef, boff, gradient=xi != 0.0
+    )
     if bcoef.shape[0]:
         dens = np.prod(terms, axis=1)
         curv = second * dens
     else:  # no density forms: the density is 1 and multiplying by it is exact
         dens = 1.0
         curv = second
-    w = t * u + (1.0 - t) * u0
+    # rhs = exp(-w - grad * xi), built in one buffer in that order
+    rhs = np.multiply(uext[1:-1], t)
+    rhs += (1.0 - t) * u0
+    np.negative(rhs, out=rhs)
     # far-off line-search trials may overflow the exponential; the resulting
     # inf/nan entries fail the merit comparison and the trial is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.exp(-w - grad * xi)
-        f = curv * invc - rhs
+        if grad is not None:
+            np.multiply(grad, xi, out=grad)
+            rhs -= grad
+        np.exp(rhs, out=rhs)
+        f = np.multiply(curv, invc)
+        f -= rhs
     if closed_l:
         # density vanishes structurally at the clamped boundary slope: the
         # node equation degenerates, so impose the affine-extension closure

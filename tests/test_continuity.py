@@ -57,6 +57,30 @@ def test_reference_potential_two_term_gradient():
     assert abs(rp.grad(np.array([[0.0]]))[0, 0] - (-1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("vertices", [
+    [(-4,), (2,)],
+    [(-1,), (6,)],
+    [(Q(-1, 2),), (Q(7, 3),)],
+    [(-4, 0), (2, 0), (0, -2), (0, 3)],
+    [(-1, -1), (2, -1), (-1, 2)],
+    [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)],
+])
+def test_reference_potential_on_the_nine_point_mesh(vertices):
+    # over the 9^r mesh of [-5, 5]^r: within log(#vertices) of the support
+    # function, and gradients inside the gradient polytope (strictly so
+    # mathematically; far out the softmax weights underflow and the gradient
+    # rounds onto a vertex)
+    rp = reference_potential(from_vertices(vertices))
+    r = rp.vertices.shape[1]
+    mesh = np.meshgrid(*[np.linspace(-5.0, 5.0, 9)] * r, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    gap = rp.value(pts) - rp.support(pts)
+    assert np.all(gap >= -1e-9) and np.all(gap <= math.log(len(rp.vertices)) + 1e-9)
+    grads = rp.grad(pts)
+    for normal, offset in rp.polytope.facets:
+        assert np.all(grads @ np.array([float(c) for c in normal]) <= float(offset) + 1e-12)
+
+
 def test_reference_potential_needs_interior_zero():
     with pytest.raises(MathValidationError):
         reference_potential(from_vertices([(1,), (2,)]))
@@ -259,6 +283,41 @@ def test_zero_field_sweep_golden(zero_field_401):
                         s.grad_margin, s.centering, s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats)).hexdigest()
     assert digest == "539488cb6287688bfea22f417ca57fc27065e765a2c511611bc227fc784693bc"
+
+
+def test_zero_field_sweep_kernel_call_counts(zero_field_401):
+    # a cheaper line-search trial must come from the kernel, not from a
+    # changed search: the number of trials, accepted iterates and solves
+    # is pinned
+    _, counts = zero_field_401
+    assert (counts["residuals"], counts["jacobians"], counts["solves"]) == (6778, 785, 27)
+
+
+def _b1_half_to_3():
+    rd = build_root_system([("B", 1)])
+    return problem_from_root_data(rd, parabolic_data(rd, []),
+                                  from_vertices([(Q(1, 2),), (3,)]))
+
+
+@pytest.mark.parametrize("make, expected", [
+    # one density form and a nonzero field: the stencil's gradient is read
+    (_b1_half_to_3, "05f9750fa2c5a3d63f1d105d9a66099f4b69dc44241a04f21f8aee80c838d74a"),
+    # no forms; the sweep ends with the gauge-deflated solve at t = 1
+    (lambda: synthetic_problem(from_vertices([(-1,), (2,)])),
+     "f8363eca55d6ecef88b82a5601942184fbfdbfa142dca4c858713dab8b6bbde3"),
+])
+def test_soliton_path_sweep_golden(make, expected):
+    # every state float and the final potential's bytes, at grid 401
+    hp = make()
+    trace = continuity_sweep(hp, solve_soliton(hp).xi, ContinuityOptions(grid=401))
+    assert trace.reached_t1
+    assert trace.states[-1].t == 1.0 and trace.states[-1].gauge_defect > 0
+    floats = [v for s in trace.states
+              for v in (s.t, s.m_t, *s.x_t, s.mass, s.residual, s.sup_psi, s.step,
+                        s.grad_margin, s.centering, s.gauge_defect)]
+    digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats))
+    digest.update(trace.final_state.u.tobytes())
+    assert digest.hexdigest() == expected
 
 
 def test_estimate_requires_proper_trace(zero_field_401):

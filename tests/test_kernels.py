@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
@@ -54,13 +58,54 @@ def test_quad_moments_backends_agree(rng):
     assert np.allclose(i2, ref2, rtol=1e-12)
 
 
+def seed_stencil_1d(u, h, qlo, qhi, bcoef, boff):
+    """The 1-D stencil before the lean rewrite, kept verbatim as a reference
+    that shares no code with ``kernels``."""
+    uext = np.concatenate(([u[0] - h * qlo], u, [u[-1] + h * qhi]))
+    second = (uext[2:] - 2.0 * u + uext[:-2]) / (h * h)
+    grad = (uext[2:] - uext[:-2]) / (2.0 * h)
+    terms = boff[None, :] - 0.5 * grad[:, None] * bcoef[None, :]
+    return uext, second, grad, terms
+
+
+def seed_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False,
+                     closed_r=False):
+    """The residual body before the lean rewrite, verbatim on
+    ``seed_stencil_1d``; also returns the centred gradient it computed."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    u0 = np.ascontiguousarray(u0, dtype=np.float64)
+    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
+    boff = np.ascontiguousarray(boff, dtype=np.float64)
+    h, t, xi, invc = float(h), float(t), float(xi), float(invc)
+    _, second, grad, terms = seed_stencil_1d(u, h, float(qlo), float(qhi), bcoef, boff)
+    if bcoef.shape[0]:
+        dens = np.prod(terms, axis=1)
+        curv = second * dens
+    else:  # no density forms: the density is 1 and multiplying by it is exact
+        dens = 1.0
+        curv = second
+    w = t * u + (1.0 - t) * u0
+    # far-off line-search trials may overflow the exponential; the resulting
+    # inf/nan entries fail the merit comparison and the trial is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.exp(-w - grad * xi)
+        f = curv * invc - rhs
+    if closed_l:
+        # density vanishes structurally at the clamped boundary slope: the
+        # node equation degenerates, so impose the affine-extension closure
+        f[0] = second[0]
+    if closed_r:
+        f[-1] = second[-1]
+    return f, (second, terms, dens, rhs), grad
+
+
 def combined_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
                          conv_floor, term_floor, closed_l, closed_r):
     """The single-call kernel the split replaced: residual, Jacobian bands
     and admissibility flag of every trial, kept verbatim as the reference
     the split must reproduce bit for bit."""
     n = u.shape[0]
-    _, second, grad, terms = kernels.stencil_1d(u, h, qlo, qhi, bcoef, boff)
+    _, second, grad, terms = seed_stencil_1d(u, h, qlo, qhi, bcoef, boff)
     ok = bool(np.all(second >= -float(conv_floor)) and np.all(terms >= -float(term_floor)))
     dens = np.prod(terms, axis=1)
     w = t * u + (1.0 - t) * u0
@@ -169,6 +214,61 @@ def test_split_kernels_match_the_combined_kernel_bitwise(nforms, closed_l, close
     assert new[4] == old[4]
     if scale < 0:
         assert not np.all(np.isfinite(new[0]))
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bits, any nan matching any nan."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@st.composite
+def residual_trials(draw):
+    """Arguments of one line-search trial: a perturbed convex potential on a
+    small grid whose spacing is not a power of two, scaled so that the
+    exponential may overflow, with up to three far-off or non-finite nodes
+    that overflow the differences or their division by 2h."""
+    n = draw(st.integers(3, 24))
+    x = np.linspace(-draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 8.0)), n)
+    h = float(x[1] - x[0])
+    assume(math.frexp(h)[0] != 0.5)
+    qlo, qhi = draw(st.floats(-4.0, -0.25)), draw(st.floats(0.25, 4.0))
+    u0 = np.logaddexp(qlo * x, qhi * x)
+    bump = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n)))
+    u = (u0 + bump) * draw(st.sampled_from([1.0, 1.0, 1e3, -1e3]))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(
+            [5e307, -5e307, 1.6e308, -1.6e308, math.inf, -math.inf, math.nan])),
+            max_size=3)):
+        u[i] = v
+    k = draw(st.integers(0, 2))
+    bcoef = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    boff = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=k, max_size=k)))
+    t = draw(st.floats(0.0, 1.0, exclude_min=True))
+    xi = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)))
+    return (u, u0, h, t, xi, bcoef, boff, qlo, qhi, draw(st.floats(0.1, 2.0)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(args=residual_trials())
+def test_residual_bitwise_equal_to_the_seed_stencil(args):
+    # without forms and field the kernel skips the centred gradient; where
+    # the reference gradient is not finite, its f and rhs may then differ at
+    # that node, but both merits are non-finite and the trial is rejected
+    # either way
+    with np.errstate(over="ignore", invalid="ignore"):  # the far-off nodes
+        f, (second, terms, dens, rhs) = kernels.residual_1d(*args)
+        ref_f, (ref_second, ref_terms, ref_dens, ref_rhs), ref_grad = seed_residual_1d(*args)
+    xi, bcoef = args[4], args[5]
+    keep = np.isfinite(ref_grad) if xi == 0.0 and not bcoef.shape[0] else slice(None)
+    assert same_bits(second, ref_second)
+    assert same_bits(terms, ref_terms) and same_bits(dens, ref_dens)
+    assert same_bits(f[keep], ref_f[keep]) and same_bits(rhs[keep], ref_rhs[keep])
+    if not np.isfinite(ref_grad).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(f @ f) and not np.isfinite(ref_f @ ref_f)
 
 
 def test_thomas_backends_agree_and_solve(rng):
