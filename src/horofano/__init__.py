@@ -12,18 +12,13 @@ from .continuity import (
     ContinuityTrace,
     continuity_sweep,
     estimate_rm_numeric,
-    ma_residual,
-    reference_potential,
-    solve_at_t,
 )
 from .dh import (
     DHDensity,
     WeightedMoments,
     density_from_forms,
     dh_barycenter,
-    dh_moment,
     dh_volume,
-    integrate_poly_simplex,
     weighted_moments,
 )
 from .errors import (
@@ -41,15 +36,13 @@ from .polytopes import (
     from_halfspaces,
     from_vertices,
     moment_polytope,
-    polytope_volume,
-    support_value,
     triangulate,
     validate_reflective,
 )
 from .problem import HorosphericalProblem, problem_from_root_data, synthetic_problem
 from .ricci import RicciBoundResult, greatest_ricci_lower_bound, ray_exit
 from .roots import ParabolicDatum, RootDatum, build_root_system, coroot, parabolic_data
-from .soliton import SolitonSolution, futaki_vector, kahler_einstein_test, solve_soliton, weighted_mass
+from .soliton import SolitonSolution, kahler_einstein_test, solve_soliton, weighted_mass
 
 __version__ = "0.1.0"
 
@@ -77,26 +70,18 @@ __all__ = [
     "delta_from_moment",
     "density_from_forms",
     "dh_barycenter",
-    "dh_moment",
     "dh_volume",
     "dual_polytope",
     "estimate_rm_numeric",
     "from_halfspaces",
     "from_vertices",
-    "futaki_vector",
     "greatest_ricci_lower_bound",
-    "integrate_poly_simplex",
     "kahler_einstein_test",
-    "ma_residual",
     "moment_polytope",
     "parabolic_data",
-    "polytope_volume",
     "problem_from_root_data",
     "ray_exit",
-    "reference_potential",
-    "solve_at_t",
     "solve_soliton",
-    "support_value",
     "synthetic_problem",
     "triangulate",
     "validate_reflective",

@@ -4,12 +4,10 @@ The equation is posed on the full space; the solver truncates to a box chosen
 from the support-function slopes so the dropped tail mass of exp(-v) is below
 1e-8 of the density volume, and extends the potential affinely beyond the box
 with the extreme slopes of the gradient polytope (the discrete form of the
-"support function plus constant" boundary condition; the constant is read off
-the boundary values into ``ContinuityState.boundary_offset``, which no report
-or trace CSV carries).  The normalizing constant of the equation
-is fixed so that the mass identity  integral exp(-w_t) = V  holds at the
-continuous level for every t and every soliton parameter; the discrete solver
-inherits it as a diagnostic.
+"support function plus constant" boundary condition).  The normalizing
+constant of the equation is fixed so that the mass identity
+integral exp(-w_t) = V  holds at the continuous level for every t and every
+soliton parameter; the discrete solver inherits it as a diagnostic.
 
 The solver is one-dimensional (r = 1; any other r is a ``MathValidationError``
 with condition "dimension"): damped Newton on a tridiagonal system, with
@@ -30,7 +28,7 @@ from . import kernels
 from .errors import MathValidationError, SchemaError, SolverError
 from .polytopes import Polytope
 from .problem import HorosphericalProblem
-from .rationals import vdot, zero_vec
+from .rationals import vdot
 from .soliton import weighted_mass
 
 
@@ -47,9 +45,10 @@ class ContinuityOptions:
 
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
-    number, a fractional count, t0 outside (0, 1] or a non-positive
-    tolerance, step, window or box, or a ``quad_order`` outside
-    [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a ``SchemaError`` naming the option.
+    number (a numeric string included), a fractional count, t0 outside
+    (0, 1] or a non-positive tolerance, step, window or box, or a
+    ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
+    ``SchemaError`` naming the option.
     """
 
     grid: int = 2001
@@ -71,7 +70,7 @@ class ContinuityOptions:
             kind = int if f.name in ("grid", "quad_order") else float
             try:
                 num = kind(value)
-                ok = (not isinstance(value, bool) and math.isfinite(num)
+                ok = (not isinstance(value, (bool, str)) and math.isfinite(num)
                       and float(num) == float(value))
             except (TypeError, ValueError, OverflowError):
                 ok = False
@@ -95,47 +94,14 @@ class ContinuityOptions:
 # ---------------------------------------------------------------------------
 
 
-class ReferencePotential:
-    """Smooth strictly convex log-sum-exp over the vertices of the gradient
-    polytope; stays within log(#vertices) of the support function and maps
-    gradients into the open polytope."""
-
-    def __init__(self, two_delta: Polytope):
-        zero = zero_vec(two_delta.dim)
-        if not two_delta.contains(zero, strict=True):
-            raise MathValidationError(
-                "0 must be interior to the gradient polytope", condition="zero_interior"
-            )
-        self.polytope = two_delta
-        self.vertices = np.array(
-            [[float(c) for c in v] for v in two_delta.vertices], dtype=np.float64
-        )
-
-    def _rows(self, points) -> np.ndarray:
-        """Points as an (N, r) float array; a single point is one row."""
-        return np.asarray(points, dtype=np.float64).reshape(-1, self.vertices.shape[1])
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        points = self._rows(points)
-        z = points @ self.vertices.T
-        zmax = z.max(axis=1)
-        return zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        points = self._rows(points)
-        z = points @ self.vertices.T
-        z -= z.max(axis=1)[:, None]
-        w = np.exp(z)
-        w /= w.sum(axis=1)[:, None]
-        return w @ self.vertices
-
-    def support(self, points: np.ndarray) -> np.ndarray:
-        points = self._rows(points)
-        return (points @ self.vertices.T).max(axis=1)
-
-
-def reference_potential(two_delta: Polytope) -> ReferencePotential:
-    return ReferencePotential(two_delta)
+def _reference_potential(q_lo: float, q_hi: float, x: np.ndarray) -> np.ndarray:
+    """log(exp(q_lo x) + exp(q_hi x)): smooth, strictly convex, within log 2
+    of the support function max(q_lo x, q_hi x), with slopes inside
+    (q_lo, q_hi); the larger exponent is factored out, so nothing overflows."""
+    a = q_lo * x
+    b = q_hi * x
+    m = np.maximum(a, b)
+    return m + np.log(np.exp(a - m) + np.exp(b - m))
 
 
 def default_box(two_delta: Polytope, volume: float, xi_norm: float = 0.0) -> float:
@@ -158,7 +124,6 @@ def default_box(two_delta: Polytope, volume: float, xi_norm: float = 0.0) -> flo
 class ContinuitySetup:
     xi: np.ndarray
     options: ContinuityOptions
-    refpot: ReferencePotential
     box: float
     n: int
     h: float
@@ -185,7 +150,13 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     if xi.shape != (1,):
         raise MathValidationError("soliton parameter has wrong dimension")
     two_delta = hp.two_delta()
-    refpot = reference_potential(two_delta)
+    lo_vert = min(v[0] for v in two_delta.vertices)
+    hi_vert = max(v[0] for v in two_delta.vertices)
+    # a directly built problem skips ``validate``, so kappa may not be interior
+    if not lo_vert < 0 < hi_vert:
+        raise MathValidationError(
+            "0 must be interior to the gradient polytope", condition="zero_interior"
+        )
     vol = float(hp.volume)
     box = options.box if options.box is not None else default_box(
         two_delta, vol, float(np.linalg.norm(xi))
@@ -207,8 +178,6 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
     d0 = max(abs(float(v[0])) for v in two_delta.vertices)
-    lo_vert = min(v[0] for v in two_delta.vertices)
-    hi_vert = max(v[0] for v in two_delta.vertices)
     # the clamped boundary slope may sit on a wall of the density (exact
     # rational test); the node equation degenerates there and is replaced
     # by the affine-extension closure
@@ -221,12 +190,11 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     return ContinuitySetup(
         xi=xi,
         options=options,
-        refpot=refpot,
         box=box,
         n=n,
         h=float(h),
         axis=axis,
-        u0=refpot.value(axis[:, None]),
+        u0=_reference_potential(float(lo_vert), float(hi_vert), axis),
         c_norm=c_norm,
         invc=1.0 / c_norm,
         volume=vol,
@@ -257,7 +225,6 @@ class ContinuityState:
     mass: float
     residual_norm: float
     sup_psi: float
-    boundary_offset: float
     grad_margin: float
     centering: float
     newton_iterations: int
@@ -472,13 +439,11 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
     margin = float(min(setup.qhi - grad.max(), grad.min() - setup.qlo))
     x_l = setup.axis[0] - h
     x_r = setup.axis[-1] + h
-    u0ghosts = setup.refpot.value(np.array([[x_l], [x_r]]))
+    u0ghosts = _reference_potential(setup.qlo, setup.qhi, np.array([x_l, x_r]))
     wext = np.concatenate([[t * uext[0] + (1 - t) * u0ghosts[0]], w,
                            [t * uext[-1] + (1 - t) * u0ghosts[1]]])
     wgrad = (wext[2:] - wext[:-2]) / (2.0 * h)
     centering = float(h * np.sum(wgrad * ew))
-    # boundary offset: u minus the support function at the right end of the box
-    v_right = setup.qhi * setup.axis[-1]
     return ContinuityState(
         t=t,
         u=u,
@@ -488,7 +453,6 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
         mass=mass,
         residual_norm=rnorm,
         sup_psi=float(np.max(u - setup.u0)),
-        boundary_offset=float(u[-1] - v_right),
         grad_margin=margin,
         centering=centering,
         newton_iterations=iters,
@@ -501,63 +465,21 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
 # ---------------------------------------------------------------------------
 
 
-def ma_residual(hp: HorosphericalProblem, u: np.ndarray, t: float, xi,
-                options: ContinuityOptions | None = None,
-                setup: ContinuitySetup | None = None):
-    """Pointwise residual of the normalized discrete equation for a given
-    grid potential; returns (residual array, per-point admissibility mask).
-    Inadmissible points (negative curvature or escaped gradient beyond the
-    rounding floors) are flagged in the mask."""
-    if setup is None:
-        setup = build_setup(hp, xi, options or ContinuityOptions())
-    u = np.asarray(u, dtype=np.float64)
-    f, (second, terms, _, _) = kernels.residual_1d(
-        u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef, setup.boff, setup.qlo,
-        setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
-    )
-    return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
-
-
-def solve_at_t(hp: HorosphericalProblem, t: float, xi,
-               options: ContinuityOptions | None = None,
-               setup: ContinuitySetup | None = None) -> ContinuityState:
-    """Solve the discrete equation at one value of the deformation parameter.
-
-    The continuity sweep runs from the reference potential to t (a cold
-    Newton start far from t0 is outside the basin of the equation's strong
-    exponential nonlinearity) and its final state is returned; a sweep that
-    stops short raises ``SolverError`` naming its termination.
-    """
-    if setup is None:
-        setup = build_setup(hp, xi, options or ContinuityOptions())
-    if not 0 < t <= 1:
-        raise MathValidationError("t must lie in (0, 1]")
-    trace = _sweep(setup, t)
-    if trace.termination != "reached_t1":
-        raise SolverError(
-            f"continuity sweep to t = {t} ended in {trace.termination}"
-            + (f" at t = {trace.diverged_at}" if trace.diverged_at is not None else ""),
-            last_state=trace.final_state,
-        )
-    return trace.final_state
-
-
 def continuity_sweep(hp: HorosphericalProblem, xi,
                      options: ContinuityOptions | None = None) -> ContinuityTrace:
     """Advance t from t0 toward 1 with warm starts and adaptive steps."""
-    return _sweep(build_setup(hp, xi, options or ContinuityOptions()), 1.0)
+    return _sweep(build_setup(hp, xi, options or ContinuityOptions()))
 
 
-def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
-    """The continuation loop: from min(t0, t_end) to t_end; its termination is
-    "reached_t1" once t_end is reached (t_end is 1 for the public sweep)."""
+def _sweep(setup: ContinuitySetup) -> ContinuityTrace:
+    """The continuation loop from t0 to 1."""
     options = setup.options
     trace = ContinuityTrace(
         volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n,
         xi=tuple(float(v) for v in setup.xi),
     )
 
-    t = min(options.t0, t_end)
+    t = options.t0
     try:
         u, rnorm, iters, defect = _newton_1d(setup, t, setup.u0.copy())
     except SolverError:
@@ -574,8 +496,8 @@ def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
     trace.final_state = state
 
     step = options.step0
-    while t < t_end:
-        t_try = min(t_end, t + step)
+    while t < 1.0:
+        t_try = min(1.0, t + step)
         try:
             u_new, rnorm, iters, defect = _newton_1d(
                 setup, t_try, u.copy(), force_gauge=t_try >= 1.0
@@ -584,7 +506,7 @@ def _sweep(setup: ContinuitySetup, t_end: float) -> ContinuityTrace:
         except SolverError:
             step *= 0.5
             if step < options.min_step:
-                if t_end >= 1.0 and 1.0 - t < 0.01:
+                if 1.0 - t < 0.01:
                     # the gauge-stiff band just below t = 1 can be
                     # un-navigable by continuation at coarse grids; the
                     # endpoint itself is still solvable with the translation

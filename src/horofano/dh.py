@@ -1,12 +1,12 @@
 """Integration over the moment polytope against the product-of-roots density.
 
-Two routes: an exact route for polynomial integrands (volume, barycenter,
-polynomial moments) built on the closed-form integral of a barycentric
-monomial over a simplex, which expands a product of affine forms with
-integer coefficients over one common denominator and builds one
-``Fraction`` per result, and a float route for exponential-weighted
-moments built on tensor Gauss-Legendre quadrature mapped to each simplex of
-the fixed fan triangulation, with a Richardson-style order check.
+Two routes: an exact route for the density volume and barycenter, built on
+the closed-form integral of a barycentric monomial over a simplex, which
+expands a product of affine forms with integer coefficients over one common
+denominator and builds one ``Fraction`` per result, and a float route for
+exponential-weighted moments built on tensor Gauss-Legendre quadrature mapped
+to each simplex of the fixed fan triangulation, with a Richardson-style order
+check.
 
 Everything that does not depend on the exponent is built once per
 (polytope, density) pair and kept in a single-entry memo keyed on the
@@ -40,6 +40,7 @@ from .rationals import Vec, scaled_integers, vdot
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
+MAX_REFINE = 3  # order raises of ``weighted_moments`` before it gives up
 
 
 @dataclass(frozen=True)
@@ -131,45 +132,6 @@ def _simplex_mass_moments(simplex: Simplex, affine) -> tuple[Q, list[Q]]:
         for i in range(d)
     ]
     return Q(det * mass, scale**d * factorial(n) * denom), moments
-
-
-def integrate_poly_simplex(simplex: Simplex, forms=None, monomial=None) -> Q:
-    """Exact integral over a simplex of a product of affine forms, or of the
-    coordinate monomial given by an exponent multi-index.
-
-    Each entry of ``forms`` is a ``(coeffs, offset)`` pair, the form
-    x -> <coeffs, x> + offset with one coefficient per simplex dimension;
-    any other entry is a ``MathValidationError`` naming it.
-    """
-    d = simplex.dim
-    affine: list[tuple[Vec, Q]] = []
-    if monomial is not None:
-        for i, a in enumerate(monomial):
-            unit = tuple(Q(1) if j == i else Q(0) for j in range(d))
-            affine.extend((unit, Q(0)) for _ in range(int(a)))
-    for k, f in enumerate(forms or ()):
-        try:
-            coeffs, off = f
-            coeffs = tuple(Q(c) for c in coeffs)
-            if len(coeffs) != d:
-                raise ValueError
-            affine.append((coeffs, Q(off)))
-        except (TypeError, ValueError):
-            raise MathValidationError(
-                f"form {k} {f!r} is not a (coeffs, offset) pair with {d} coefficients",
-                condition="form",
-            ) from None
-    return _simplex_mass_moments(simplex, affine)[0]
-
-
-def dh_moment(polytope: Polytope, density: DHDensity, extra_forms=()) -> Q:
-    """Exact integral of the density times extra affine forms over the polytope."""
-    forms = [(f, Q(0)) for f in density.forms] + [
-        (tuple(Q(c) for c in f), Q(off)) for f, off in extra_forms
-    ]
-    return sum(
-        (integrate_poly_simplex(s, forms=forms) for s in triangulate(polytope)), Q(0)
-    )
 
 
 def _require_nonnegative(polytope: Polytope, density: DHDensity) -> None:
@@ -370,13 +332,12 @@ def weighted_moments(
     ell,
     order: int | None = None,
     rel_tol: float = DEFAULT_QUAD_REL_TOL,
-    max_refine: int = 3,
 ) -> WeightedMoments:
     """Exponential-weighted moments of the density measure over the polytope.
 
     Integrates exp(<ell, p>) * density against 1, p and p (x) p.  The order-m
-    result is checked against order m+4; the order is raised (three times at
-    most) until the relative difference drops below ``rel_tol``.
+    result is checked against order m+4; the order is raised (``MAX_REFINE``
+    times at most) until the relative difference drops below ``rel_tol``.
     """
     data = _moment_data(polytope, density)
     r = polytope.dim
@@ -396,7 +357,7 @@ def weighted_moments(
         return _neumaier_reduce(parts)
 
     last_err = float("inf")
-    for _ in range(max_refine + 1):
+    for _ in range(MAX_REFINE + 1):
         lo, hi = summed(m), summed(m + 4)
         scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
         last_err = max(

@@ -2,10 +2,10 @@
 
 Both representations (vertices and facets ``{y : <normal, y> <= offset}``) are
 kept in canonical sorted order, so structurally equal polytopes compare equal.
-Construction, duality, support values and triangulation are exact; ambient
-dimensions 1 to 3 are supported, which covers every desk-scale problem here.
-Coordinates are ``Fraction``s, but the facet and vertex enumerations and the
-simplex volume compute in Python integers: points are scaled once by the lcm
+Construction, duality and triangulation are exact; ambient dimensions 1 to
+3 are supported, which covers every desk-scale problem here.  Coordinates
+are ``Fraction``s, but the facet and vertex enumerations and the simplex
+determinant compute in Python integers: points are scaled once by the lcm
 of their denominators (each facet inequality by its own), normals are signed
 maximal minors of integer edges and vertices come from Cramer's rule, with
 one ``Fraction`` built per result entry.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
 from itertools import combinations
-from math import factorial, gcd
+from math import gcd
 
 from .errors import MathValidationError, SchemaError
 from .rationals import (
@@ -104,10 +104,6 @@ class Simplex:
         if d == 0:
             raise MathValidationError("degenerate simplex")
         return verts, scale, abs(d)
-
-    def volume(self) -> Q:
-        _, scale, d = self.scaled()
-        return Q(d, scale**self.dim * factorial(self.dim))
 
 
 def _scale_halfspace(normal: Vec, offset: Q) -> Facet:
@@ -243,12 +239,6 @@ def dual_polytope(p: Polytope) -> Polytope:
     return from_halfspaces([(tuple(-c for c in v), Q(1)) for v in p.vertices])
 
 
-def support_value(p: Polytope, x) -> Q:
-    """max over p of the pairing with x."""
-    x = tuple(Q(c) for c in x)
-    return max(vdot(x, v) for v in p.vertices)
-
-
 def _cmp_angle(center: Vec):
     def cmp(pa: Vec, pb: Vec) -> int:
         a = vsub(pa, center)
@@ -278,15 +268,10 @@ def _fan_polygon(points: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
     return [(cyc[0], cyc[i], cyc[i + 1]) for i in range(1, len(cyc) - 1)]
 
 
-def triangulate(p: Polytope, apex: Vec | None = None) -> list[Simplex]:
-    """Deterministic fan triangulation from the lexicographically least vertex
-    (or the given vertex); simplices have disjoint interiors covering p."""
-    if apex is None:
-        apex = p.vertices[0]
-    else:
-        apex = tuple(Q(c) for c in apex)
-        if apex not in p.vertices:
-            raise MathValidationError("apex must be a vertex of the polytope")
+def triangulate(p: Polytope) -> list[Simplex]:
+    """Deterministic fan triangulation from the lexicographically least
+    vertex; simplices have disjoint interiors covering p."""
+    apex = p.vertices[0]
     if p.dim == 1:
         return [Simplex(vertices=p.vertices)]
     simplices: list[Simplex] = []
@@ -306,10 +291,6 @@ def triangulate(p: Polytope, apex: Vec | None = None) -> list[Simplex]:
                     Simplex(vertices=(apex,) + tuple(flat[q] for q in tri))
                 )
     return simplices
-
-
-def polytope_volume(p: Polytope) -> Q:
-    return sum((s.volume() for s in triangulate(p)), Q(0))
 
 
 def moment_polytope(q: Polytope, kappa: Vec) -> Polytope:

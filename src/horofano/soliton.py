@@ -37,14 +37,6 @@ def weighted_mass(hp: HorosphericalProblem, xi, **quad) -> float:
     return i0
 
 
-def futaki_vector(hp: HorosphericalProblem, xi, **quad) -> np.ndarray:
-    """Components of the obstruction F(e_i) = int <p-kappa, e_i> weight dmu."""
-    xi = np.asarray(xi, dtype=np.float64)
-    kappa = np.array([float(c) for c in hp.kappa])
-    i0, i1, _ = _moments_shifted(hp, xi, **quad)
-    return i1 - kappa * i0
-
-
 @dataclass(frozen=True)
 class SolitonSolution:
     xi: np.ndarray

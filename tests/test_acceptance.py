@@ -65,31 +65,30 @@ def test_criterion_1_exact_integration():
             if coeffs.any():
                 forms.append(tuple(int(c) for c in coeffs))
         dens = hf.density_from_forms(forms)
-        vol = hf.dh_moment(poly, dens)
-        bar = hf.dh_barycenter(poly, dens) if vol > 0 else None
+        vol = hf.dh_volume(poly, dens)
+        bar = hf.dh_barycenter(poly, dens)
         mc = _mc_moments(poly, forms, 1_000_000, seed=SEED + checked)
         est, sigma = mc[0]
         assert abs(float(vol) - est) <= 4 * max(sigma, 1e-12)
-        if bar is not None:
-            for i in range(dim):
-                est_i, sigma_i = mc[1 + i]
-                moment_i = float(bar[i] * vol)
-                assert abs(moment_i - est_i) <= 4 * max(sigma_i, 1e-12)
+        for i in range(dim):
+            est_i, sigma_i = mc[1 + i]
+            moment_i = float(bar[i] * vol)
+            assert abs(moment_i - est_i) <= 4 * max(sigma_i, 1e-12)
         checked += 1
 
-    # closed forms: boxes factorize per axis, simplices via the barycentric rule
+    # closed forms: boxes factorize per axis, simplices via the barycentric
+    # rule (the coordinate monomials as density forms)
     box = hf.from_vertices([(x, y) for x in (0, 2) for y in (0, 3)])
     dens = hf.density_from_forms([(1, 0), (0, 1)])
     assert hf.dh_volume(box, dens) == Q(2 * 2, 2) * Q(3 * 3, 2)
     assert hf.dh_barycenter(box, dens) == (Q(4, 3), Q(2))
-    tri = hf.Simplex(vertices=((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))))
-    assert hf.integrate_poly_simplex(tri, monomial=(0, 0)) == Q(1, 2)
-    assert hf.integrate_poly_simplex(tri, monomial=(1, 1)) == Q(1, 24)
-    tet = hf.Simplex(
-        vertices=((Q(0),) * 3, (Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1)))
-    )
-    assert hf.integrate_poly_simplex(tet, monomial=(0, 0, 0)) == Q(1, 6)
-    assert hf.integrate_poly_simplex(tet, monomial=(1, 1, 1)) == Q(1, 720)
+    tri = hf.from_vertices([(0, 0), (1, 0), (0, 1)])
+    assert hf.dh_volume(tri, hf.density_from_forms([])) == Q(1, 2)
+    assert hf.dh_volume(tri, dens) == Q(1, 24)
+    tet = hf.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert hf.dh_volume(tet, hf.density_from_forms([])) == Q(1, 6)
+    xyz = hf.density_from_forms([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert hf.dh_volume(tet, xyz) == Q(1, 720)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -124,7 +123,10 @@ def test_criterion_2_futaki_soliton():
     h = 5e-4
     for _ in range(10):
         xi = rng.uniform(-0.4, 0.4, size=2)
-        grad = -2.0 * hf.futaki_vector(hp2, xi)
+        # G'(xi) = -2 F(xi), F(xi) = e^{2<kappa, xi>} (I1 - kappa I0)
+        kappa = np.array([float(c) for c in hp2.kappa])
+        mom = hf.weighted_moments(hp2.moment, hp2.density, -2.0 * xi)
+        grad = -2.0 * np.exp(2.0 * kappa @ xi) * (mom.i1 - kappa * mom.i0)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = h

@@ -269,6 +269,10 @@ def test_report_determinism_two_runs(tmp_path):
     ({"quad_order": 1000000}, [], "quad_order"),
     ({}, ["--quad-order", "0"], "quad_order"),
     ({}, ["--quad-order", "100"], "quad_order"),
+    # a number in a JSON string is not a number
+    ({"grid": "401"}, [], "grid"),
+    ({"tol": "1e-9"}, [], "tol"),
+    ({"t0": " 0.5"}, [], "t0"),
 ])
 def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
     spec = dict(TORIC_M12)

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 from horofano import (
+    HorosphericalProblem,
     MathValidationError,
-    SolverError,
     build_root_system,
     continuity_sweep,
+    density_from_forms,
     estimate_rm_numeric,
     from_vertices,
     greatest_ricci_lower_bound,
-    ma_residual,
     parabolic_data,
     problem_from_root_data,
-    reference_potential,
-    solve_at_t,
     solve_soliton,
     synthetic_problem,
 )
@@ -39,64 +37,89 @@ def toric_m12_soliton(toric_m12):
     return solve_soliton(toric_m12).xi
 
 
+def reference(q_lo, q_hi, x):
+    return continuity._reference_potential(
+        float(q_lo), float(q_hi), np.asarray(x, dtype=np.float64)
+    )
+
+
+def residual_and_mask(setup, u, t):
+    """The residual of the discrete equation at t for the grid potential u,
+    and the per-point admissibility mask (curvature and gradient confinement
+    beyond the rounding floors)."""
+    f, (second, terms, _, _) = kernels.residual_1d(
+        u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef, setup.boff, setup.qlo,
+        setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
+    )
+    return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
+
+
+def state_at(hp, t, xi, options):
+    """The state at t < 1 solved from the reference potential, as the sweep
+    solves its first state at t0 = t."""
+    setup = build_setup(hp, xi, dataclasses.replace(options, t0=t))
+    u, rnorm, iters, defect = continuity._newton_1d(setup, t, setup.u0.copy())
+    return continuity._state_1d(setup, t, u, rnorm, iters, defect), setup
+
+
 def test_reference_potential_symmetric():
-    rp = reference_potential(from_vertices([(-2,), (2,)]))
-    assert abs(rp.value(np.array([[0.0]]))[0] - math.log(2.0)) < 1e-14
-    assert abs(rp.grad(np.array([[0.0]]))[0, 0]) < 1e-14
+    assert abs(reference(-2, 2, [0.0])[0] - math.log(2.0)) < 1e-14
+    x = np.linspace(-7.0, 7.0, 29)
+    assert np.array_equal(reference(-2, 2, x), reference(-2, 2, -x))
 
 
 def test_reference_potential_asymptotics():
-    rp = reference_potential(from_vertices([(-2,), (2,)]))
-    x = np.array([[30.0]])
-    assert abs(rp.value(x)[0] - 2.0 * 30.0) < 1e-12
+    assert abs(reference(-2, 2, [30.0])[0] - 2.0 * 30.0) < 1e-12
 
 
 def test_reference_potential_two_term_gradient():
-    # gradient polytope [-4, 2] from the shifted interval example
-    rp = reference_potential(from_vertices([(-4,), (2,)]))
-    assert abs(rp.grad(np.array([[0.0]]))[0, 0] - (-1.0)) < 1e-14
+    # gradient polytope [-4, 2] from the shifted interval example: the slope
+    # at 0 is the mean of the two end slopes
+    h = 1e-5
+    ends = reference(-4, 2, [-h, h])
+    assert abs((ends[1] - ends[0]) / (2 * h) - (-1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("vertices", [
     [(-4,), (2,)],
     [(-1,), (6,)],
     [(Q(-1, 2),), (Q(7, 3),)],
-    [(-4, 0), (2, 0), (0, -2), (0, 3)],
-    [(-1, -1), (2, -1), (-1, 2)],
-    [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)],
+    [(-8,), (1,)],
+    [(-1,), (1,)],
+    [(Q(-3, 100),), (Q(5, 4),)],
 ])
 def test_reference_potential_on_the_nine_point_mesh(vertices):
-    # over the 9^r mesh of [-5, 5]^r: within log(#vertices) of the support
-    # function, and gradients inside the gradient polytope (strictly so
-    # mathematically; far out the softmax weights underflow and the gradient
-    # rounds onto a vertex)
-    rp = reference_potential(from_vertices(vertices))
-    r = rp.vertices.shape[1]
-    mesh = np.meshgrid(*[np.linspace(-5.0, 5.0, 9)] * r, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    gap = rp.value(pts) - rp.support(pts)
-    assert np.all(gap >= -1e-9) and np.all(gap <= math.log(len(rp.vertices)) + 1e-9)
-    grads = rp.grad(pts)
-    for normal, offset in rp.polytope.facets:
-        assert np.all(grads @ np.array([float(c) for c in normal]) <= float(offset) + 1e-12)
+    # over the nine-point mesh of [-5, 5]: within log 2 of the support
+    # function, and convex with secant slopes inside the gradient interval
+    (q_lo,), (q_hi,) = vertices
+    x = np.linspace(-5.0, 5.0, 9)
+    value = reference(q_lo, q_hi, x)
+    gap = value - np.maximum(float(q_lo) * x, float(q_hi) * x)
+    assert np.all(gap >= -1e-9) and np.all(gap <= math.log(2.0) + 1e-9)
+    slopes = np.diff(value) / np.diff(x)
+    assert np.all(slopes >= float(q_lo) - 1e-12) and np.all(slopes <= float(q_hi) + 1e-12)
+    assert np.all(np.diff(slopes) >= -1e-12)
 
 
 def test_reference_potential_needs_interior_zero():
-    with pytest.raises(MathValidationError):
-        reference_potential(from_vertices([(1,), (2,)]))
+    # a directly built problem skips ``validate``: kappa = 0 outside [1, 2]
+    hp = HorosphericalProblem(moment=from_vertices([(1,), (2,)]), kappa=(Q(0),),
+                              density=density_from_forms([]))
+    with pytest.raises(MathValidationError) as info:
+        build_setup(hp, [0.0], OPTS_FAST)
+    assert info.value.condition == "zero_interior"
 
 
 def test_reference_potential_stays_near_support(rng):
-    rp = reference_potential(from_vertices([(-4, 0), (2, 0), (0, -2), (0, 3)]))
-    pts = rng.uniform(-6, 6, size=(200, 2))
-    gap = rp.value(pts) - rp.support(pts)
+    x = rng.uniform(-6, 6, size=200)
+    gap = reference(-4, 2, x) - np.maximum(-4.0 * x, 2.0 * x)
     assert np.all(gap >= -1e-12)
-    assert np.all(gap <= math.log(len(rp.vertices)) + 1e-12)
+    assert np.all(gap <= math.log(2.0) + 1e-12)
 
 
 def test_ma_residual_at_reference_is_nonzero_definition(toric_m12):
     setup = build_setup(toric_m12, [0.0], OPTS_FAST)
-    f, mask = ma_residual(toric_m12, setup.u0, 0.0, [0.0], setup=setup)
+    f, mask = residual_and_mask(setup, setup.u0, 0.0)
     assert mask.all()
     # definition check: residual equals u0'' / c - exp(-u0) pointwise
     h, u0 = setup.h, setup.u0
@@ -108,9 +131,8 @@ def test_ma_residual_at_reference_is_nonzero_definition(toric_m12):
 
 
 def test_ma_residual_of_solution_is_small(toric_m12):
-    setup = build_setup(toric_m12, [0.0], OPTS_FAST)
-    state = solve_at_t(toric_m12, 0.1, [0.0], setup=setup)
-    f, mask = ma_residual(toric_m12, state.u, 0.1, [0.0], setup=setup)
+    state, setup = state_at(toric_m12, 0.1, [0.0], OPTS_FAST)
+    f, mask = residual_and_mask(setup, state.u, 0.1)
     assert mask.all()
     assert np.max(np.abs(f)) <= 1e-8
 
@@ -118,13 +140,13 @@ def test_ma_residual_of_solution_is_small(toric_m12):
 def test_ma_residual_flags_escaped_gradient(toric_m12):
     setup = build_setup(toric_m12, [0.0], OPTS_FAST)
     bad = 1.5 * setup.u0  # gradients cover 1.5x the admissible polytope
-    _, mask = ma_residual(toric_m12, bad, 0.5, [0.0], setup=setup)
+    _, mask = residual_and_mask(setup, bad, 0.5)
     assert not mask.all()
 
 
 def test_solve_at_t_symmetric_even_solution():
     hp = synthetic_problem(from_vertices([(-1,), (1,)]))
-    state = solve_at_t(hp, 0.4, [0.0], options=OPTS_FAST)
+    state, _ = state_at(hp, 0.4, [0.0], OPTS_FAST)
     assert state.x_t == (0.0,)
     n = state.u.shape[0]
     assert np.allclose(state.u, state.u[::-1], atol=1e-9)
@@ -132,32 +154,17 @@ def test_solve_at_t_symmetric_even_solution():
 
 
 def test_solve_at_t_mass_identity(toric_m12):
-    state = solve_at_t(toric_m12, 0.1, [0.0], options=ContinuityOptions(grid=2001))
+    state, _ = state_at(toric_m12, 0.1, [0.0], ContinuityOptions(grid=2001))
     assert abs(state.mass - 3.0) / 3.0 <= 1e-4
     assert state.residual_norm <= 1e-9
 
 
 def test_solve_at_t_soliton_path_end(toric_m12, toric_m12_soliton):
-    state = solve_at_t(toric_m12, 1.0, toric_m12_soliton, options=OPTS_FAST)
+    trace = continuity_sweep(toric_m12, toric_m12_soliton, OPTS_FAST)
+    state = trace.final_state
+    assert trace.reached_t1 and state.t == 1.0
     assert state.residual_norm <= 1e-8
     assert abs(state.mass - 3.0) / 3.0 <= 1e-3
-
-
-def test_solve_at_t_without_init_is_the_sweep(toric_m12, toric_m12_soliton):
-    # one continuation loop: the cold solve returns the sweep's final state
-    state = solve_at_t(toric_m12, 1.0, toric_m12_soliton, options=OPTS_FAST)
-    trace = continuity_sweep(toric_m12, toric_m12_soliton, OPTS_FAST)
-    assert trace.reached_t1
-    assert state.t == 1.0
-    for f in dataclasses.fields(state):
-        assert np.array_equal(getattr(state, f.name), getattr(trace.final_state, f.name)), f.name
-
-
-def test_solve_at_t_names_the_sweep_termination(toric_m12):
-    trace = continuity_sweep(toric_m12, [0.0], OPTS_FAST)
-    assert not trace.reached_t1
-    with pytest.raises(SolverError, match=trace.termination):
-        solve_at_t(toric_m12, 1.0, [0.0], options=OPTS_FAST)
 
 
 def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
@@ -377,9 +384,10 @@ def test_wall_touching_boundary_closure_rows():
 def test_gauge_defect_scales_like_h2(toric_m12, toric_m12_soliton):
     defects = []
     for grid in (801, 1601):
-        state = solve_at_t(toric_m12, 1.0, toric_m12_soliton,
-                           options=ContinuityOptions(grid=grid, box=11.377409494277815))
-        defects.append(state.gauge_defect)
+        trace = continuity_sweep(toric_m12, toric_m12_soliton,
+                                 ContinuityOptions(grid=grid, box=11.377409494277815))
+        assert trace.reached_t1
+        defects.append(trace.final_state.gauge_defect)
     ratio = defects[0] / defects[1]
     assert 2.0 < ratio < 8.0  # halving h divides the broken-symmetry defect ~4x
 
@@ -390,8 +398,7 @@ def test_two_dimensional_problem_rejected():
     sq = synthetic_problem(from_vertices([(-1, -1), (1, -1), (-1, 1), (1, 1)]))
     calls = [
         lambda: continuity_sweep(sq, [0.0, 0.0]),
-        lambda: solve_at_t(sq, 0.3, [0.0, 0.0]),
-        lambda: ma_residual(sq, np.zeros((41, 41)), 0.3, [0.0, 0.0]),
+        lambda: build_setup(sq, [0.0, 0.0], ContinuityOptions(grid=41)),
     ]
     for call in calls:
         with pytest.raises(MathValidationError) as info:

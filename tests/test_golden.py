@@ -1,11 +1,16 @@
-"""Pinned exact reports of non-toric inputs.
+"""Pinned reports of the command-line runs.
 
-The ``validate``, ``invariants`` and ``ricci-bound`` reports hold only exact
-rationals, strings and booleans (no floats), so their bytes are the same on
-every platform.  Each digest below is the sha256 of the report file, whose
-bytes include the package version; the readable asserts next to them say
-what the pinned values are.  The reflective inputs give ``Q`` and so
-produce the scaled-coroot membership witnesses of the reflectivity report.
+The ``validate``, ``invariants`` and ``ricci-bound`` reports of non-toric
+inputs hold only exact rationals, strings and booleans (no floats), so their
+bytes are the same on every platform.  Each digest below is the sha256 of the
+report file, whose bytes include the package version; the readable asserts
+next to them say what the pinned values are.  The reflective inputs give
+``Q`` and so produce the scaled-coroot membership witnesses of the
+reflectivity report.
+
+The ``continuity`` and ``all`` runs of 1-D inputs carry the floats of the
+soliton solve and the sweep: their digests pin every output of a run, and
+the reference potential, bit for bit on this numpy and its OpenBLAS.
 """
 
 import hashlib
@@ -14,7 +19,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from horofano.cli import main
+from horofano.cli import load_problem, main
+from horofano.continuity import build_setup
+from horofano.soliton import solve_soliton
 
 SQUARE = [["-1", "-1"], ["1", "-1"], ["-1", "1"], ["1", "1"]]
 
@@ -156,3 +163,129 @@ def test_exact_values(tmp_path, name):
         (w["root"], w["a"], w["point"]) for w in reflectivity["coroot_membership"]
     ] == COROOTS[name]
     assert all(w["inside"] for w in reflectivity["coroot_membership"])
+
+
+# 1-D inputs whose ``continuity`` and ``all`` runs sweep at grid 401
+SWEEP_INPUTS = {
+    "toric-m1-2": ({"factors": [], "torus_rank": 1}, ["-1", "2"]),
+    "toric-m3/2-5/2": ({"factors": [], "torus_rank": 1}, ["-3/2", "5/2"]),
+    "b1-1/2-3": ({"factors": [["B", 1]], "torus_rank": 0}, ["1/2", "3"]),
+    # the moment polytope touches the density wall; the sweep ends in
+    # newton_failure
+    "b1-0-3": ({"factors": [["B", 1]], "torus_rank": 0}, ["0", "3"]),
+}
+
+
+def _sweep_input(tmp_path, name):
+    root_system, ends = SWEEP_INPUTS[name]
+    payload = {
+        "root_system": root_system,
+        "levi_subset": [],
+        "polytope": {"moment": {"vertices": [[e] for e in ends]}},
+        "options": {"grid": 401},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    return path
+
+
+# per (input, command) with ``--out`` and ``--trace``: the exit code, the
+# termination, and the sha256 of the report, the trace CSV, stdout and stderr
+SWEEP_DIGESTS = {
+    ('b1-0-3', 'all'): (
+        0, 'newton_failure',
+        '8e6902c46c6e11ea84c20ff21b60a16dcc64750ef02e5243105de4881bfa8439',
+        '564d0aedb2bd7ff7e58d5876f1de3346f41e15f09b34888a6dc6698440619555',
+        'd0da98e70a9c746db572b03698533dae64844cb40550729cf68d9f7203219efe',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('b1-0-3', 'continuity'): (
+        0, 'newton_failure',
+        'cadbc90c84833de4c699441f1bab901b82177e20b977eb2298b5d13e0fe9f48c',
+        '564d0aedb2bd7ff7e58d5876f1de3346f41e15f09b34888a6dc6698440619555',
+        'd9696e19b54ee0c65406be1749ebc871bb8609391500d77b94d409889b118ece',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('b1-1/2-3', 'all'): (
+        0, 'reached_t1',
+        'fbb484dd7979bd82def0bd166ed1cb27caeddc44c2e9dfb992724a6158519690',
+        '53922dcf8163e11ddf8a8bc042a8b2bc4020bc1541787ee86c38931a2697b9aa',
+        '524a0166296db8921550938b3f74df3c89b152d9e124a6d40cb96aa4af84d10c',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('b1-1/2-3', 'continuity'): (
+        0, 'reached_t1',
+        'ad2870f9288b5e40241e2964f167eecc533605748e3490c0d9c1147522da6da9',
+        '53922dcf8163e11ddf8a8bc042a8b2bc4020bc1541787ee86c38931a2697b9aa',
+        '5b3df00352f26eb5f03d6645bf376245852c9bb5d4cb28a5a49709f2dbb5f060',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('toric-m1-2', 'all'): (
+        0, 'reached_t1',
+        'f3d1256c4387e316a9b72dbf0d3cef6ba0496049be27439c1050f74d2f8935e8',
+        '30ca35a5133e3570772f62a2952e67485599a6566ff4fe4cff3e05fd97bd9155',
+        '54764910919262e14d10445266c5210f47570b908de4d11dd907f314c0e3096b',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('toric-m1-2', 'continuity'): (
+        0, 'reached_t1',
+        '9934abc33f428b0fc05e2e33af86646f8e0ed6383f0ed98fb83e19d5caadc6a8',
+        '30ca35a5133e3570772f62a2952e67485599a6566ff4fe4cff3e05fd97bd9155',
+        '3a4ef3ca1b9227994215e3ae5002782ff653968119323f844b101f4682083cf6',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('toric-m3/2-5/2', 'all'): (
+        0, 'reached_t1',
+        '5a3a0b506eea079f50867597ada4fbb65e5d239bf684884567fd431d5d0270fb',
+        '848ecce11be5eec41e3a140842ddddcfc938daea8cdc36b2fdb6fa2e1f575cf4',
+        'dba4edf5e924f5aa3bc070f65c93a0efecf226f8ad941d369c866d3903802ac4',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+    ('toric-m3/2-5/2', 'continuity'): (
+        0, 'reached_t1',
+        '2a22683593047eb54894ad3d9488210fca1b40ffcff6941708edef9700f573e0',
+        '848ecce11be5eec41e3a140842ddddcfc938daea8cdc36b2fdb6fa2e1f575cf4',
+        '98e85d718275f1bee08c96402fe597d19f74ab26adb48cc160f617e017c2cc4d',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    ),
+}
+
+# sha256 of the reference potential's grid values at grid 401, for the field
+# the CLI passes (the soliton's)
+U0_DIGESTS = {
+    'b1-0-3': '68953c41d3271597dd8b066ee9027f17bf9b9a3415465bb82f71b24cd6f9e38c',
+    'b1-1/2-3': '481f28e029ef9c2fd8d5da276a65fdc46ecaabbf6acbc3edc12647932aedb251',
+    'toric-m1-2': 'e37fc2d068669a479a8fc4f0029281b9a8d479876329ad4e18674e0872432d10',
+    'toric-m3/2-5/2': '7f0683037df213595cadbdda6bdbe5d3359ca953668c09cb3f96f6f232713b08',
+}
+
+
+@pytest.mark.parametrize("command", ["all", "continuity"])
+@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+def test_sweep_run_bytes_pinned(tmp_path, monkeypatch, capsys, name, command):
+    _sweep_input(tmp_path, name)
+    # relative paths, as the report names its trace file
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--input", "problem.json", "--out", "report.json",
+                 "--trace", "trace.csv"])
+    out = capsys.readouterr()
+    report = (tmp_path / "report.json").read_bytes()
+    pinned = (
+        code,
+        json.loads(report)["continuity"]["termination"],
+        *(hashlib.sha256(b).hexdigest() for b in (
+            report, (tmp_path / "trace.csv").read_bytes(),
+            out.out.encode(), out.err.encode(),
+        )),
+    )
+    assert pinned == SWEEP_DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+def test_reference_potential_bytes_pinned(tmp_path, name):
+    loaded = load_problem(str(_sweep_input(tmp_path, name)))
+    xi = solve_soliton(loaded.hp, tol=loaded.tol, rel_tol=loaded.options.quad_rel_tol,
+                       order=loaded.options.quad_order).xi
+    u0 = build_setup(loaded.hp, xi, loaded.options).u0
+    assert hashlib.sha256(u0.tobytes()).hexdigest() == U0_DIGESTS[name]
+

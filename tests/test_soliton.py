@@ -6,14 +6,23 @@ import pytest
 
 from horofano import (
     from_vertices,
-    futaki_vector,
     kahler_einstein_test,
     solve_soliton,
     synthetic_problem,
     weighted_mass,
+    weighted_moments,
 )
 
 INTERVAL_M12 = [(-1,), (2,)]
+
+
+def futaki_vector(hp, xi):
+    """The obstruction F(xi) = e^{2<kappa, xi>} (I1 - kappa I0), with I0 and
+    I1 the moments of exp(-2<p, xi>) dmu."""
+    xi = np.asarray(xi, dtype=np.float64)
+    kappa = np.array([float(c) for c in hp.kappa])
+    mom = weighted_moments(hp.moment, hp.density, -2.0 * xi)
+    return np.exp(2.0 * kappa @ xi) * (mom.i1 - kappa * mom.i0)
 
 
 def oracle_xi_star():
