@@ -34,7 +34,8 @@ from .soliton import weighted_mass
 
 _POSITIVE_OPTIONS = ("tol", "step0", "max_step", "min_step", "window", "box", "quad_rel_tol")
 # quadrature orders a run may ask for: the default start order is the density
-# degree + 20 (at most 29 for r <= 3) and three refinements add at most 28
+# degree + 20 for r = 1 and degree + 4 for r >= 2, the default top order is
+# degree + 48 (at most 57 for r <= 3), and an explicit start adds at most 28
 QUAD_ORDER_MIN, QUAD_ORDER_MAX = 4, 64
 MAX_NEWTON = 60  # Newton iterations per solve at one t
 
@@ -45,9 +46,9 @@ class ContinuityOptions:
 
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
-    number (a numeric string included), a fractional count, t0 outside
-    (0, 1] or a non-positive tolerance, step, window or box, or a
-    ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
+    number (a numeric string included), a fractional count, a grid below
+    11, t0 outside (0, 1] or a non-positive tolerance, step, window or box,
+    or a ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
     ``SchemaError`` naming the option.
     """
 
@@ -77,6 +78,8 @@ class ContinuityOptions:
             if not ok:
                 what = "an integer" if kind is int else "a finite number"
                 raise SchemaError(f"expected {what}, got {value!r}", f"options.{f.name}")
+            if f.name == "grid" and num < 11:
+                raise SchemaError(f"must be at least 11, got {num!r}", "options.grid")
             if f.name == "t0" and not 0 < num <= 1:
                 raise SchemaError(f"must lie in (0, 1], got {num!r}", "options.t0")
             if f.name in _POSITIVE_OPTIONS and not num > 0:
@@ -162,8 +165,6 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         two_delta, vol, float(np.linalg.norm(xi))
     )
     n = int(options.grid)
-    if n < 11:
-        raise MathValidationError("grid too coarse")
     axis = np.linspace(-box, box, n)
     h = axis[1] - axis[0]
     # normalization fixed by the continuous mass identity: c = 2 * V_xi / V

@@ -20,8 +20,8 @@ the density folded in.  The unit-simplex nodes and weights depend only on
 (r, order) and live in a module-level table; each ``weighted_moments`` call
 maps the unit nodes affinely onto every simplex and hands them, with the
 stored weights and the exponent, to ``kernels.quad_moments(points, weights,
-ell)``.  The stored weights take one float per node per order: about 2 MB
-for the two orders of a B3 box (six simplices, orders 26 and 30).
+ell)``.  The stored weights take one float per node per order: about
+180 kB for the two orders of a B3 box (six simplices, orders 10 and 14).
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from .rationals import Vec, scaled_integers, vdot
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
-MAX_REFINE = 3  # order raises of ``weighted_moments`` before it gives up
+# how far the top order of ``weighted_moments`` lies above degree +
+# DEFAULT_QUAD_EXTRA by default, or above an explicit start order
+MAX_ORDER_RAISE = 28
 
 
 @dataclass(frozen=True)
@@ -336,16 +338,27 @@ def weighted_moments(
     """Exponential-weighted moments of the density measure over the polytope.
 
     Integrates exp(<ell, p>) * density against 1, p and p (x) p.  The order-m
-    result is checked against order m+4; the order is raised (``MAX_REFINE``
-    times at most) until the relative difference drops below ``rel_tol``.
+    result is checked against order m+4, and m is raised by 8 until the
+    relative difference drops below ``rel_tol``, with no order above the top.
+    An explicit ``order`` is the start, with the top ``MAX_ORDER_RAISE``
+    above it.  By default r = 1 starts at the density degree +
+    ``DEFAULT_QUAD_EXTRA`` and r >= 2 at degree + 4, both with the top
+    ``MAX_ORDER_RAISE`` above degree + ``DEFAULT_QUAD_EXTRA``, so the r >= 2
+    schedule ends with the r = 1 pairs.  A 1-D call costs only about 45
+    nodes, and the 1-D continuity outcome can move with the last bits of the
+    soliton field, so r = 1 keeps the higher start.
     """
     data = _moment_data(polytope, density)
     r = polytope.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
     if ell.shape != (r,):
         raise MathValidationError("exponent vector has wrong dimension")
-    m = order if order is not None else density.degree + DEFAULT_QUAD_EXTRA
-    m = max(4, int(m))
+    if order is None:
+        start = density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
+        top = density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
+    else:
+        start = max(4, int(order))
+        top = start + MAX_ORDER_RAISE
 
     def summed(n):
         """Compensated sum of the order-n moments over the simplices."""
@@ -357,7 +370,7 @@ def weighted_moments(
         return _neumaier_reduce(parts)
 
     last_err = float("inf")
-    for _ in range(MAX_REFINE + 1):
+    for m in range(start, top - 3, 8):
         lo, hi = summed(m), summed(m + 4)
         scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
         last_err = max(
@@ -369,7 +382,6 @@ def weighted_moments(
             return WeightedMoments(
                 i0=float(hi[0]), i1=hi[1], i2=hi[2], rel_error=last_err, order=m + 4
             )
-        m += 8
     raise QuadratureError(
         f"quadrature error estimate {last_err:.3e} above tolerance {rel_tol:.3e}",
         estimate=last_err,

@@ -273,6 +273,10 @@ def test_report_determinism_two_runs(tmp_path):
     ({"grid": "401"}, [], "grid"),
     ({"tol": "1e-9"}, [], "tol"),
     ({"t0": " 0.5"}, [], "t0"),
+    # too coarse for the 1-D stencil
+    ({"grid": 5}, [], "grid"),
+    ({"grid": 0}, [], "grid"),
+    ({"grid": -3}, [], "grid"),
 ])
 def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
     spec = dict(TORIC_M12)

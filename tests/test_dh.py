@@ -354,8 +354,11 @@ def _box_vertices(center, half_widths):
     ]
 
 
-# non-toric inputs by their root data: B1 on an interval, and the A2 and B3
-# Levi boxes of the benchmark's 3-D family
+SQUARE = [["-1", "-1"], ["1", "-1"], ["-1", "1"], ["1", "1"]]
+
+# non-toric inputs by their root data: B1 on an interval, a box of each
+# family of the benchmark's 3-D inputs, and the 2-D squares of the golden
+# reports (given by Q)
 SPECS = {
     "b1": {
         "root_system": {"factors": [["B", 1]], "torus_rank": 0},
@@ -371,6 +374,21 @@ SPECS = {
         "root_system": {"factors": [["B", 3]], "torus_rank": 0},
         "levi_subset": [1, 2],
         "polytope": {"moment": {"vertices": _box_vertices((3, 3, 3), ("3/8", "1/2", "1/4"))}},
+    },
+    "a2-levi0": {
+        "root_system": {"factors": [["A", 2]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": {"moment": {"vertices": _box_vertices((2, 0, -2), ("1/2", "3/8", "5/8"))}},
+    },
+    "a1-square": {
+        "root_system": {"factors": [["A", 1]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": {"Q": {"vertices": SQUARE}},
+    },
+    "b2-square": {
+        "root_system": {"factors": [["B", 2]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": {"Q": {"vertices": SQUARE}},
     },
 }
 
@@ -476,3 +494,59 @@ def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
     assert len(calls) == len(triangulate(p))
     assert len(factors) == len(calls) * dens.degree
     assert (vol, bar) == ref.volume_and_barycenter(p.vertices, p.facets, dens.forms)
+
+
+# ---------------------------------------------------------------------------
+# the order schedule
+# ---------------------------------------------------------------------------
+
+MULTI = ["a1-square", "b2-square", "a2-levi1", "a2-levi0", "b3-levi12"]
+
+
+@pytest.mark.parametrize("name", MULTI)
+def test_default_order_matches_order_48(tmp_path, name):
+    from horofano import solve_soliton
+
+    hp = _load(tmp_path, name)
+    extra = []
+    for xi in (np.zeros(hp.a1_dim), solve_soliton(hp).xi):
+        ell = -2.0 * xi
+        m = weighted_moments(hp.moment, hp.density, ell)
+        ref48 = weighted_moments(hp.moment, hp.density, ell, order=44, rel_tol=1.0)
+        assert ref48.order == 48
+        for got, want in ((m.i0, ref48.i0), (m.i1, ref48.i1), (m.i2, ref48.i2)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        extra.append(m.order - hp.density.degree)
+    # r >= 2 starts at degree + 4 and its first pair passes, except on the A1
+    # square at its soliton field: orders 5 and 9 differ by 3e-10 there
+    assert extra == ([8, 16] if name == "a1-square" else [8, 8])
+
+
+def test_one_dimensional_default_order_is_degree_plus_24(tmp_path):
+    hp = _load(tmp_path, "b1")
+    assert weighted_moments(hp.moment, hp.density, [0.4]).order == hp.density.degree + 24
+    toric = weighted_moments(from_vertices([(-1,), (2,)]), density_from_forms([]), [0.4])
+    assert toric.order == 24
+
+
+# the estimate of the (degree + 44, degree + 48) pair, the last of the default
+# schedule whatever its start order
+LAST_PAIR_ESTIMATES = {
+    ("a2-levi1", 0): 8.358594633361717e-15,
+    ("a2-levi1", 1): 3.86545050054877e-15,
+    ("a2-levi0", 0): 1.958981008475795e-14,
+    ("a2-levi0", 1): 1.6861558582858473e-14,
+    ("b3-levi12", 0): 7.465912595028999e-15,
+    ("b3-levi12", 1): 1.1997438967712748e-14,
+    ("b2-square", 0): 4.466091398928608e-15,
+    ("b2-square", 1): 1.6784196337547196e-14,
+}
+
+
+@pytest.mark.parametrize("name, tilted", sorted(LAST_PAIR_ESTIMATES))
+def test_unreachable_tolerance_reports_the_last_pair(tmp_path, name, tilted):
+    hp = _load(tmp_path, name)
+    ell = [0.3, -0.2, 0.1][:hp.a1_dim] if tilted else [0.0] * hp.a1_dim
+    with pytest.raises(QuadratureError) as err:
+        weighted_moments(hp.moment, hp.density, ell, rel_tol=1e-30)
+    assert err.value.estimate == LAST_PAIR_ESTIMATES[name, tilted]

@@ -17,6 +17,7 @@ import hashlib
 import json
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from horofano.cli import load_problem, main
@@ -163,6 +164,27 @@ def test_exact_values(tmp_path, name):
         (w["root"], w["a"], w["point"]) for w in reflectivity["coroot_membership"]
     ] == COROOTS[name]
     assert all(w["inside"] for w in reflectivity["coroot_membership"])
+
+
+# the soliton field and Newton iterations of the 3-D boxes; a change of
+# quadrature order may move xi in its last digits only
+SOLITON = {
+    "a2-levi1-box": ([0.17011499457181636, 0.16967370243650853, -0.33880785338185476], 3),
+    "b3-levi12-box": ([0.33422893664264053, 0.33465743942257725, 0.3339247766167766], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLITON))
+def test_soliton_field_of_boxes(tmp_path, name):
+    src = tmp_path / f"{name}.json"
+    src.write_text(json.dumps(INPUTS[name], sort_keys=True), encoding="utf-8")
+    loaded = load_problem(str(src))
+    sol = solve_soliton(loaded.hp, tol=loaded.tol, rel_tol=loaded.options.quad_rel_tol,
+                        order=loaded.options.quad_order)
+    xi, iterations = SOLITON[name]
+    assert sol.iterations == iterations
+    assert np.linalg.norm(sol.xi - xi) <= 1e-11 * np.linalg.norm(xi)
+    assert sol.residual_norm <= loaded.tol * float(loaded.hp.volume)
 
 
 # 1-D inputs whose ``continuity`` and ``all`` runs sweep at grid 401
