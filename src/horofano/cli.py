@@ -232,13 +232,10 @@ def _vec_json(v):
 
 
 def _trace_csv(trace: ContinuityTrace, path: str) -> None:
-    r = len(trace.xi)
-    xcols = ",".join(f"x_t_{i + 1}" for i in range(r))
-    lines = [f"t,m_t,{xcols},mass,residual,sup_psi,step"]
+    lines = ["t,m_t,x_t_1,mass,residual,sup_psi,step"]
     for s in trace.states:
-        xs = ",".join(repr(c) for c in s.x_t)
         lines.append(
-            f"{s.t!r},{s.m_t!r},{xs},{s.mass!r},{s.residual!r},{s.sup_psi!r},{s.step!r}"
+            f"{s.t!r},{s.m_t!r},{s.x_t!r},{s.mass!r},{s.residual!r},{s.sup_psi!r},{s.step!r}"
         )
     _write_text(path, "\n".join(lines) + "\n", "--trace")
 
@@ -268,7 +265,7 @@ def _trace_json(trace: ContinuityTrace):
         "termination": trace.termination,
         "reached_t1": trace.reached_t1,
         "steps_accepted": len(trace.states),
-        "xi": list(trace.xi),
+        "xi": [trace.xi],
         "grid": trace.grid,
         "box": trace.box,
         "volume": float(trace.volume),

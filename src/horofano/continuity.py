@@ -1,13 +1,20 @@
 """Continuity method for the reduced real Monge-Ampere equation.
 
-The equation is posed on the full space; the solver truncates to a box chosen
-from the support-function slopes so the dropped tail mass of exp(-v) is below
-1e-8 of the density volume, and extends the potential affinely beyond the box
-with the extreme slopes of the gradient polytope (the discrete form of the
-"support function plus constant" boundary condition).  The normalizing
-constant of the equation is fixed so that the mass identity
-integral exp(-w_t) = V  holds at the continuous level for every t and every
-soliton parameter; the discrete solver inherits it as a diagnostic.
+The equation is posed on the real line; the gradient interval is
+[q_lo, q_hi] = 2 (kappa - P), with q_lo < 0 < q_hi as kappa is interior to the
+moment interval P.  The solver truncates to the box [-L, L] with
+
+    L = (log(2 / (r_in * 1e-8 * V)) + 4 + |xi| * d0) / r_in,
+    r_in = min(q_hi, -q_lo),  d0 = max(q_hi, -q_lo),
+
+so the dropped tail mass exp(q_lo L)/(-q_lo) + exp(-q_hi L)/q_hi of exp(-v)
+is below 1e-8 of the density volume V, with a margin for the soliton tilt,
+and extends the potential affinely beyond the box with the end slopes q_lo
+and q_hi (the discrete form of the "support function plus constant"
+boundary condition).  The normalizing constant of the equation is fixed so
+that the mass identity integral exp(-w_t) = V  holds at the continuous level
+for every t and every soliton parameter; the discrete solver inherits it as
+a diagnostic.
 
 The solver is one-dimensional (r = 1; any other r is a ``MathValidationError``
 with condition "dimension"): damped Newton on a tridiagonal system, with
@@ -26,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import MathValidationError, SchemaError, SolverError
-from .polytopes import Polytope
+from .polytopes import delta_from_moment
 from .problem import HorosphericalProblem
 from .rationals import vdot
 from .soliton import weighted_mass
@@ -107,17 +114,6 @@ def _reference_potential(q_lo: float, q_hi: float, x: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(a - m) + np.exp(b - m))
 
 
-def default_box(two_delta: Polytope, volume: float, xi_norm: float = 0.0) -> float:
-    """Half-width making the exp(-support) tail mass below 1e-8 * volume,
-    with a margin for the soliton tilt exp(-<grad, xi>) of the density."""
-    r_in = min(
-        float(off) / math.sqrt(sum(float(c) ** 2 for c in n)) for n, off in two_delta.facets
-    )
-    d0 = max(math.sqrt(sum(float(c) ** 2 for c in v)) for v in two_delta.vertices)
-    target = 1e-8 * float(volume)
-    return (math.log(2.0 * two_delta.dim / (r_in * target)) + 4.0 + xi_norm * d0) / r_in
-
-
 # ---------------------------------------------------------------------------
 # setup
 # ---------------------------------------------------------------------------
@@ -125,7 +121,7 @@ def default_box(two_delta: Polytope, volume: float, xi_norm: float = 0.0) -> flo
 
 @dataclass
 class ContinuitySetup:
-    xi: np.ndarray
+    xi: float
     options: ContinuityOptions
     box: float
     n: int
@@ -149,41 +145,43 @@ class ContinuitySetup:
 def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> ContinuitySetup:
     if hp.a1_dim != 1:
         raise MathValidationError("continuity solver supports r = 1 only", condition="dimension")
-    xi = np.asarray([float(v) for v in np.atleast_1d(xi)], dtype=np.float64)
+    xi = np.atleast_1d(xi)
     if xi.shape != (1,):
         raise MathValidationError("soliton parameter has wrong dimension")
-    two_delta = hp.two_delta()
-    lo_vert = min(v[0] for v in two_delta.vertices)
-    hi_vert = max(v[0] for v in two_delta.vertices)
-    # a directly built problem skips ``validate``, so kappa may not be interior
-    if not lo_vert < 0 < hi_vert:
-        raise MathValidationError(
-            "0 must be interior to the gradient polytope", condition="zero_interior"
-        )
+    xi = float(xi[0])
+    if not math.isfinite(xi):
+        raise MathValidationError("soliton parameter must be a finite number")
+    # the gradient interval [q_lo, q_hi] = 2 (kappa - P); kappa is interior
+    # to P, so q_lo < 0 < q_hi
+    delta = delta_from_moment(hp.moment, hp.kappa)
+    q_lo, q_hi = 2 * delta.vertices[0][0], 2 * delta.vertices[-1][0]
+    qlo, qhi = float(q_lo), float(q_hi)
+    r_in, d0 = min(qhi, -qlo), max(qhi, -qlo)
     vol = float(hp.volume)
-    box = options.box if options.box is not None else default_box(
-        two_delta, vol, float(np.linalg.norm(xi))
-    )
+    box = options.box
+    if box is None:
+        # the exp(-support) tail mass stays below 1e-8 * V, with a margin
+        # for the soliton tilt exp(-grad * xi) of the density
+        box = (math.log(2.0 / (r_in * (1e-8 * vol))) + 4.0 + abs(xi) * d0) / r_in
     n = int(options.grid)
     axis = np.linspace(-box, box, n)
     h = axis[1] - axis[0]
     # normalization fixed by the continuous mass identity: c = 2 * V_xi / V
-    if xi[0] == 0.0:
+    if xi == 0.0:
         c_norm = 2.0
     else:
         c_norm = (
             2
-            * weighted_mass(hp, xi, rel_tol=options.quad_rel_tol, order=options.quad_order)
+            * weighted_mass(hp, [xi], rel_tol=options.quad_rel_tol, order=options.quad_order)
             / vol
         )
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
-    d0 = max(abs(float(v[0])) for v in two_delta.vertices)
     # the clamped boundary slope may sit on a wall of the density (exact
     # rational test); the node equation degenerates there and is replaced
     # by the affine-extension closure
-    closed_l = any(vdot(f, hp.kappa) - vdot(f, (lo_vert,)) / 2 == 0 for f in hp.density.forms)
-    closed_r = any(vdot(f, hp.kappa) - vdot(f, (hi_vert,)) / 2 == 0 for f in hp.density.forms)
+    closed_l = any(vdot(f, hp.kappa) - f[0] * q_lo / 2 == 0 for f in hp.density.forms)
+    closed_r = any(vdot(f, hp.kappa) - f[0] * q_hi / 2 == 0 for f in hp.density.forms)
     # admissibility floors above the curvature noise the Newton solves induce
     # on machine-affine tails (observed ~50x the pure representation noise)
     uscale = max(1.0, d0 * box)
@@ -195,15 +193,15 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         n=n,
         h=float(h),
         axis=axis,
-        u0=_reference_potential(float(lo_vert), float(hi_vert), axis),
+        u0=_reference_potential(qlo, qhi, axis),
         c_norm=c_norm,
         invc=1.0 / c_norm,
         volume=vol,
         d0=d0,
         bcoef=bcoef,
         boff=boff,
-        qlo=float(lo_vert),
-        qhi=float(hi_vert),
+        qlo=qlo,
+        qhi=qhi,
         conv_floor=4096.0 * eps * uscale / h**2,
         term_floor=4096.0 * eps * uscale / h * float(max((abs(b) for b in bcoef), default=0.0)),
         closed_l=closed_l,
@@ -222,7 +220,7 @@ class ContinuityState:
     u: np.ndarray
     w: np.ndarray
     m_t: float
-    x_t: tuple[float, ...]
+    x_t: float
     mass: float
     residual_norm: float
     sup_psi: float
@@ -236,7 +234,7 @@ class ContinuityState:
 class StateSummary:
     t: float
     m_t: float
-    x_t: tuple[float, ...]
+    x_t: float
     mass: float
     residual: float
     sup_psi: float
@@ -256,7 +254,7 @@ class ContinuityTrace:
     d0: float = 0.0
     box: float = 0.0
     grid: int = 0
-    xi: tuple[float, ...] = ()
+    xi: float = 0.0
     final_state: ContinuityState | None = None
 
     @property
@@ -312,19 +310,18 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
     with np.errstate(over="ignore"):
         opts = setup.options
         u = _rebalance(setup, t, init)
-        xi0 = float(setup.xi[0])
 
         # every line-search trial evaluates the residual; the Jacobian bands and
         # the admissibility flag are built only for the iterates it accepts
         def residual(vec):
             return kernels.residual_1d(
-                vec, setup.u0, setup.h, t, xi0, setup.bcoef, setup.boff, setup.qlo, setup.qhi,
-                setup.invc, setup.closed_l, setup.closed_r,
+                vec, setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
+                setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
             )
 
         def jacobian(parts):
             return kernels.jacobian_1d(
-                parts, setup.h, t, xi0, setup.bcoef, setup.invc, setup.closed_l, setup.closed_r
+                parts, setup.h, t, setup.xi, setup.bcoef, setup.invc, setup.closed_l, setup.closed_r
             )
 
         def admissible(parts, extra=0.0):
@@ -368,7 +365,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             g = g / np.linalg.norm(g)
             return sigma, g, x
 
-        for it in range(MAX_NEWTON):
+        for it in range(MAX_NEWTON + 1):
             # gauge deflation is an endpoint device: at t = 1 exactly the
             # translation symmetry is exact and the grid-level defect cannot be
             # reduced; below t = 1 the translation carries real physics (the
@@ -390,6 +387,8 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
                         last_state=u,
                     )
                 return u, rnorm, it, abs(defect)
+            if it == MAX_NEWTON:
+                break
             merit = 0.5 * float(f_red @ f_red)
             allowance = 4.0 * np.finfo(float).eps * merit
             if gauge is None:
@@ -402,7 +401,6 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             # the line search gates on the merit alone; convexity and gradient
             # confinement are verified on the converged state (transient tail
             # dips at rounding scale would otherwise block legitimate steps)
-            accepted = False
             lam = 1.0
             for _ in range(22):
                 trial = u + lam * delta
@@ -413,18 +411,10 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
                     u, f, parts = trial, f_t, parts_t
                     lo, di, up = jacobian(parts)
                     ok = admissible(parts)
-                    accepted = True
                     break
                 lam *= 0.5
-            if not accepted:
+            else:
                 raise SolverError("Newton line search stagnated", last_state=u)
-        f_red, defect = split(f)
-        rnorm = float(np.max(np.abs(f_red)))
-        if rnorm <= opts.tol:
-            if not ok:
-                ok = admissible(parts, 20.0 * abs(defect) * setup.c_norm)
-            if ok:
-                return u, rnorm, MAX_NEWTON, abs(defect)
         raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
 
 
@@ -450,7 +440,7 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
         u=u,
         w=w,
         m_t=float(w[imin]),
-        x_t=(float(setup.axis[imin]),),
+        x_t=float(setup.axis[imin]),
         mass=mass,
         residual_norm=rnorm,
         sup_psi=float(np.max(u - setup.u0)),
@@ -476,8 +466,7 @@ def _sweep(setup: ContinuitySetup) -> ContinuityTrace:
     """The continuation loop from t0 to 1."""
     options = setup.options
     trace = ContinuityTrace(
-        volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n,
-        xi=tuple(float(v) for v in setup.xi),
+        volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n, xi=setup.xi,
     )
 
     t = options.t0
@@ -546,7 +535,7 @@ def _sweep(setup: ContinuitySetup) -> ContinuityTrace:
 
 
 def _escaped(state: ContinuityState, setup: ContinuitySetup, options: ContinuityOptions) -> bool:
-    return max(abs(c) for c in state.x_t) > options.window * setup.box
+    return abs(state.x_t) > options.window * setup.box
 
 
 def _summary(state: ContinuityState, step: float) -> StateSummary:

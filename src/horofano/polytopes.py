@@ -64,16 +64,6 @@ class Polytope:
             facets=tuple(sorted((n, off + vdot(n, shift)) for n, off in self.facets)),
         )
 
-    def scale(self, factor) -> "Polytope":
-        factor = Q(factor)
-        if factor <= 0:
-            raise MathValidationError("scale factor must be positive")
-        return Polytope(
-            dim=self.dim,
-            vertices=tuple(sorted(vscale(factor, v) for v in self.vertices)),
-            facets=tuple(sorted((n, factor * off) for n, off in self.facets)),
-        )
-
     def reflect_through(self, center: Vec) -> "Polytope":
         """The polytope {center - y : y in self}."""
         verts = tuple(sorted(vsub(center, v) for v in self.vertices))

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 from .dh import DHDensity, dh_barycenter, dh_volume, density_from_forms
 from .errors import MathValidationError
-from .polytopes import Polytope, delta_from_moment
+from .polytopes import Polytope
 from .rationals import Vec, zero_vec
 from .roots import ParabolicDatum, RootDatum
 
@@ -18,6 +18,7 @@ class HorosphericalProblem:
 
     ``rd``/``pd`` carry the root-system provenance when the problem was built
     from group data; synthetic problems (tests, toric cases) may omit them.
+    Construction runs ``validate``, so every problem is valid.
     """
 
     moment: Polytope
@@ -30,6 +31,9 @@ class HorosphericalProblem:
     @property
     def a1_dim(self) -> int:
         return self.moment.dim
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if len(self.kappa) != self.moment.dim:
@@ -60,12 +64,6 @@ class HorosphericalProblem:
             self._cache["barycenter"] = dh_barycenter(self.moment, self.density)
         return self._cache["barycenter"]
 
-    def delta(self) -> Polytope:
-        return delta_from_moment(self.moment, self.kappa)
-
-    def two_delta(self) -> Polytope:
-        return self.delta().scale(2)
-
 
 def problem_from_root_data(
     rd: RootDatum, pd: ParabolicDatum, moment: Polytope
@@ -82,15 +80,13 @@ def problem_from_root_data(
             condition="dimension",
         )
     # the scalar product is the identity, so each root is its own linear form
-    hp = HorosphericalProblem(
+    return HorosphericalProblem(
         moment=moment,
         kappa=pd.kappa,
         density=density_from_forms(pd.phi_Q_plus),
         rd=rd,
         pd=pd,
     )
-    hp.validate()
-    return hp
 
 
 def synthetic_problem(moment: Polytope, kappa=None, forms=()) -> HorosphericalProblem:
@@ -98,8 +94,6 @@ def synthetic_problem(moment: Polytope, kappa=None, forms=()) -> HorosphericalPr
     kappa = (
         zero_vec(moment.dim) if kappa is None else tuple(Q(c) for c in kappa)
     )
-    hp = HorosphericalProblem(
+    return HorosphericalProblem(
         moment=moment, kappa=kappa, density=density_from_forms(forms)
     )
-    hp.validate()
-    return hp

@@ -10,6 +10,7 @@ import pytest
 from horofano import (
     HorosphericalProblem,
     MathValidationError,
+    SolverError,
     build_root_system,
     continuity_sweep,
     density_from_forms,
@@ -48,7 +49,7 @@ def residual_and_mask(setup, u, t):
     and the per-point admissibility mask (curvature and gradient confinement
     beyond the rounding floors)."""
     f, (second, terms, _, _) = kernels.residual_1d(
-        u, setup.u0, setup.h, t, float(setup.xi[0]), setup.bcoef, setup.boff, setup.qlo,
+        u, setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
         setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
     )
     return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
@@ -102,12 +103,58 @@ def test_reference_potential_on_the_nine_point_mesh(vertices):
 
 
 def test_reference_potential_needs_interior_zero():
-    # a directly built problem skips ``validate``: kappa = 0 outside [1, 2]
-    hp = HorosphericalProblem(moment=from_vertices([(1,), (2,)]), kappa=(Q(0),),
-                              density=density_from_forms([]))
+    # the gradient interval 2 (kappa - P) contains 0 exactly when kappa is
+    # interior to P, which every constructed problem satisfies: kappa = 0
+    # outside [1, 2] is rejected when the problem is built
     with pytest.raises(MathValidationError) as info:
-        build_setup(hp, [0.0], OPTS_FAST)
-    assert info.value.condition == "zero_interior"
+        HorosphericalProblem(moment=from_vertices([(1,), (2,)]), kappa=(Q(0),),
+                             density=density_from_forms([]))
+    assert info.value.condition == "kappa_interior"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_soliton_field_rejected(toric_m12, value):
+    # rejected before the grid or the weighted mass is computed
+    with pytest.raises(MathValidationError, match="soliton parameter must be a finite number"):
+        continuity_sweep(toric_m12, [value], OPTS_FAST)
+
+
+@pytest.fixture(scope="module")
+def scan_1d():
+    """The 112 inputs of the 1-D scan (``tools/scan_1d.py``): toric [-a, b]
+    with a, b in {1/2, ..., 4}, then B1 [a, b] with a in {0, ..., 3/4} and
+    b in {5/4, ..., 4}, in quarter steps."""
+    halves = [Q(k, 2) for k in range(1, 9)]
+    problems = [synthetic_problem(from_vertices([(-a,), (b,)])) for a in halves for b in halves]
+    rd = build_root_system([("B", 1)])
+    pd = parabolic_data(rd, [])
+    problems += [problem_from_root_data(rd, pd, from_vertices([(Q(a, 4),), (Q(b, 4),)]))
+                 for a in range(4) for b in range(5, 17)]
+    return problems
+
+
+@pytest.mark.parametrize("field, expected", [
+    ("zero", "c7d61abab9fdadab0f0c733e8c6dcd8b67ea17b8a1c33496d60b9ca2ab03d0f5"),
+    ("soliton", "c382c76373cc78f0ecf0e1e7ac7e1a99b503d936fd07db8ccf7ff0776082cb56"),
+])
+def test_default_box_bits_on_the_scan(scan_1d, field, expected):
+    # recorded with the box taken from facet and vertex norms of the
+    # gradient polytope; every box bit feeds the grid and so every report
+    boxes = [
+        build_setup(hp, solve_soliton(hp).xi if field == "soliton" else [0.0],
+                    ContinuityOptions(grid=11)).box
+        for hp in scan_1d
+    ]
+    digest = hashlib.sha256("\n".join(b.hex() for b in boxes).encode()).hexdigest()
+    assert digest == expected
+
+
+def test_default_box_tail_mass_contract(scan_1d):
+    # the tail mass of exp(-support) outside [-L, L] is below 1e-8 V
+    for hp in scan_1d:
+        s = build_setup(hp, [0.0], ContinuityOptions(grid=11))
+        tail = math.exp(s.qlo * s.box) / -s.qlo + math.exp(-s.qhi * s.box) / s.qhi
+        assert tail <= 1e-8 * s.volume
 
 
 def test_reference_potential_stays_near_support(rng):
@@ -147,7 +194,7 @@ def test_ma_residual_flags_escaped_gradient(toric_m12):
 def test_solve_at_t_symmetric_even_solution():
     hp = synthetic_problem(from_vertices([(-1,), (1,)]))
     state, _ = state_at(hp, 0.4, [0.0], OPTS_FAST)
-    assert state.x_t == (0.0,)
+    assert state.x_t == 0.0
     n = state.u.shape[0]
     assert np.allclose(state.u, state.u[::-1], atol=1e-9)
     assert abs(state.m_t - state.w[n // 2]) < 1e-12
@@ -165,6 +212,18 @@ def test_solve_at_t_soliton_path_end(toric_m12, toric_m12_soliton):
     assert trace.reached_t1 and state.t == 1.0
     assert state.residual_norm <= 1e-8
     assert abs(state.mass - 3.0) / 3.0 <= 1e-3
+
+
+def test_newton_iteration_cap(toric_m12, monkeypatch):
+    # one iteration allowed: a solve that needs more stagnates, and a solve
+    # started from its own converged state still returns
+    setup = build_setup(toric_m12, [0.0], OPTS_FAST)
+    u, _, iters, _ = continuity._newton_1d(setup, 0.1, setup.u0.copy())
+    assert iters > 1
+    monkeypatch.setattr(continuity, "MAX_NEWTON", 1)
+    with pytest.raises(SolverError, match="Newton stagnated"):
+        continuity._newton_1d(setup, 0.1, setup.u0.copy())
+    assert continuity._newton_1d(setup, 0.1, u)[2] <= 1
 
 
 def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
@@ -195,7 +254,7 @@ def test_sweep_symmetric_reaches_one():
     assert trace.states[-1].residual <= 1e-8
     v = trace.volume
     assert all(abs(s.mass - v) / v <= 1e-3 for s in trace.states)
-    assert all(abs(s.x_t[0]) < 1e-6 for s in trace.states)
+    assert all(abs(s.x_t) < 1e-6 for s in trace.states)
 
 
 def test_sweep_zero_field_diverges_near_two_thirds(toric_m12):
@@ -205,7 +264,7 @@ def test_sweep_zero_field_diverges_near_two_thirds(toric_m12):
     assert abs(estimate - 2.0 / 3.0) < 0.05
     assert uncertainty > 0
     # the minimizer location escapes monotonically toward the divergence
-    tail = [s.x_t[0] for s in trace.states[-5:]]
+    tail = [s.x_t for s in trace.states[-5:]]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
 
 
@@ -286,7 +345,7 @@ def test_zero_field_sweep_golden(zero_field_401):
     assert trace.final_step == 0.00015319462158203123
     assert len(trace.states) == 14
     floats = [v for s in trace.states
-              for v in (s.t, s.m_t, *s.x_t, s.mass, s.residual, s.sup_psi, s.step,
+              for v in (s.t, s.m_t, s.x_t, s.mass, s.residual, s.sup_psi, s.step,
                         s.grad_margin, s.centering, s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats)).hexdigest()
     assert digest == "539488cb6287688bfea22f417ca57fc27065e765a2c511611bc227fc784693bc"
@@ -320,7 +379,7 @@ def test_soliton_path_sweep_golden(make, expected):
     assert trace.reached_t1
     assert trace.states[-1].t == 1.0 and trace.states[-1].gauge_defect > 0
     floats = [v for s in trace.states
-              for v in (s.t, s.m_t, *s.x_t, s.mass, s.residual, s.sup_psi, s.step,
+              for v in (s.t, s.m_t, s.x_t, s.mass, s.residual, s.sup_psi, s.step,
                         s.grad_margin, s.centering, s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats))
     digest.update(trace.final_state.u.tobytes())

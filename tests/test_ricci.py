@@ -153,7 +153,7 @@ def test_rm_dilation_invariance():
     hp = synthetic_problem(from_vertices([(-1,), (2,)]))
     base = greatest_ricci_lower_bound(hp).t_infinity
     for lam in (Q(2), Q(1, 3), Q(7, 5)):
-        scaled = synthetic_problem(hp.moment.scale(lam))
+        scaled = synthetic_problem(from_vertices([(-lam,), (2 * lam,)]))
         assert greatest_ricci_lower_bound(scaled).t_infinity == base
 
 
