@@ -216,22 +216,9 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
 
 @dataclass(frozen=True)
 class ContinuityState:
-    t: float
-    u: np.ndarray
-    w: np.ndarray
-    m_t: float
-    x_t: float
-    mass: float
-    residual_norm: float
-    sup_psi: float
-    grad_margin: float
-    centering: float
-    newton_iterations: int
-    gauge_defect: float = 0.0
+    """The scalars of a solved state at t; ``step`` is the t-step that led
+    to it.  The potential is not kept: the trace holds the final one."""
 
-
-@dataclass(frozen=True)
-class StateSummary:
     t: float
     m_t: float
     x_t: float
@@ -241,12 +228,13 @@ class StateSummary:
     step: float
     grad_margin: float
     centering: float
-    gauge_defect: float = 0.0
+    newton_iterations: int
+    gauge_defect: float
 
 
 @dataclass
 class ContinuityTrace:
-    states: list[StateSummary] = field(default_factory=list)
+    states: list[ContinuityState] = field(default_factory=list)
     termination: str = "incomplete"
     final_step: float = 0.0
     diverged_at: float | None = None
@@ -255,7 +243,10 @@ class ContinuityTrace:
     box: float = 0.0
     grid: int = 0
     xi: float = 0.0
+    # the last solved state (the last accepted one, or the one that escaped
+    # the window) and its potential u; w = t u + (1 - t) u0
     final_state: ContinuityState | None = None
+    u: np.ndarray | None = None
 
     @property
     def reached_t1(self) -> bool:
@@ -292,22 +283,22 @@ def _thomas_transposed(lo, di, up, rhs):
     return kernels.thomas(lo_t, di, up_t, rhs)
 
 
-def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: bool = False):
-    """Damped Newton with translation-gauge deflation near t = 1.
+def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
+    """Damped Newton with translation-gauge deflation at t = 1.
 
     At t = 1 the deformation term that pins the spatial position of the
     solution vanishes: the continuous equation is translation invariant and
     the discrete Jacobian keeps only an exponentially weak and O(h^2)
-    grid-level coupling to the translation mode.  With ``force_gauge`` (used
-    exactly at t = 1) the step is computed in the complement of that mode (a
-    bordered solve) and the rank-one broken-symmetry defect, which cannot be
-    reduced at the given grid spacing, is excluded from the convergence test
-    and reported separately as ``gauge_defect``.
+    grid-level coupling to the translation mode.  Every solve at t = 1 (a
+    sweep started at t0 = 1 included) computes the step in the complement of
+    that mode (a bordered solve) and excludes the rank-one broken-symmetry
+    defect, which cannot be reduced at the given grid spacing, from the
+    convergence test; it is reported separately as ``gauge_defect``.
     """
-    # rejected line-search trials may overflow their merit; the error state
-    # is entered once per solve, as entering it costs a sizable share of a
-    # trial
-    with np.errstate(over="ignore"):
+    # rejected line-search trials may overflow their merit, and the gauge
+    # split of an overflowed residual is NaN; the error state is entered once
+    # per solve, as entering it costs a sizable share of a trial
+    with np.errstate(over="ignore", invalid="ignore"):
         opts = setup.options
         u = _rebalance(setup, t, init)
 
@@ -335,10 +326,6 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             raise SolverError("initial iterate inadmissible", last_state=u)
         lo, di, up = jacobian(parts)
 
-        def translation_vector(vec):
-            grad = _stencil_1d(setup, vec)[2]
-            return grad / np.linalg.norm(grad)
-
         gauge = None  # (g left-null, c right-null) when deflation is active
 
         def split(fvec):
@@ -349,21 +336,18 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             return fvec - s * g, s
 
         def singular_pair(lo_, di_, up_):
-            """Smallest singular pair by inverse iteration from the translation
-            direction; two rounds give the mode to far better accuracy than the
-            separation to the rest of the spectrum requires."""
-            x = translation_vector(u)
+            """The left and right singular vectors of the smallest singular
+            value, by inverse iteration from the translation direction; two
+            rounds give the mode to far better accuracy than the separation
+            to the rest of the spectrum requires."""
+            grad = _stencil_1d(setup, u)[2]
+            x = grad / np.linalg.norm(grad)
             for _ in range(2):
                 y = _thomas_transposed(lo_, di_, up_, x)
                 x = kernels.thomas(lo_, di_, up_, y)
                 x = x / np.linalg.norm(x)
-            jx = di_ * x
-            jx[:-1] += up_[:-1] * x[1:]
-            jx[1:] += lo_[1:] * x[:-1]
-            sigma = float(np.linalg.norm(jx))
             g = _thomas_transposed(lo_, di_, up_, x)
-            g = g / np.linalg.norm(g)
-            return sigma, g, x
+            return g / np.linalg.norm(g), x
 
         for it in range(MAX_NEWTON + 1):
             # gauge deflation is an endpoint device: at t = 1 exactly the
@@ -371,9 +355,8 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
             # reduced; below t = 1 the translation carries real physics (the
             # continuation handles stiffness by shrinking the t-step instead)
             delta_plain = kernels.thomas(lo, di, up, -f)
-            if force_gauge:
-                _, g_vec, v_vec = singular_pair(lo, di, up)
-                gauge = (g_vec, v_vec)
+            if t >= 1.0:
+                gauge = singular_pair(lo, di, up)
             f_red, defect = split(f)
             rnorm = float(np.max(np.abs(f_red)))
             if rnorm <= opts.tol:
@@ -418,7 +401,8 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray, force_gauge: 
         raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
 
 
-def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, iters: int, gauge_defect: float = 0.0) -> ContinuityState:
+def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, step: float, rnorm: float,
+              iters: int, gauge_defect: float) -> ContinuityState:
     h = setup.h
     w = t * u + (1.0 - t) * setup.u0
     imin = int(np.argmin(w))
@@ -437,18 +421,27 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
     centering = float(h * np.sum(wgrad * ew))
     return ContinuityState(
         t=t,
-        u=u,
-        w=w,
         m_t=float(w[imin]),
         x_t=float(setup.axis[imin]),
         mass=mass,
-        residual_norm=rnorm,
+        residual=rnorm,
         sup_psi=float(np.max(u - setup.u0)),
+        step=step,
         grad_margin=margin,
         centering=centering,
         newton_iterations=iters,
         gauge_defect=gauge_defect,
     )
+
+
+def _solve_state(setup: ContinuitySetup, t: float, init: np.ndarray, step: float):
+    """The potential solved at t from the warm start ``init`` and its state,
+    or None when the Newton solve fails."""
+    try:
+        u, rnorm, iters, defect = _newton_1d(setup, t, init)
+    except SolverError:
+        return None
+    return u, _state_1d(setup, t, u, step, rnorm, iters, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -458,93 +451,51 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, rnorm: float, ite
 
 def continuity_sweep(hp: HorosphericalProblem, xi,
                      options: ContinuityOptions | None = None) -> ContinuityTrace:
-    """Advance t from t0 toward 1 with warm starts and adaptive steps."""
-    return _sweep(build_setup(hp, xi, options or ContinuityOptions()))
+    """Advance t from t0 toward 1 with warm starts and adaptive steps.
 
-
-def _sweep(setup: ContinuitySetup) -> ContinuityTrace:
-    """The continuation loop from t0 to 1."""
+    Each solve starts from the last accepted potential (the reference
+    potential at t = 0).  A failed solve halves the step; an accepted state
+    sets it to ``step0`` after the first state, at t0, and grows it by 1.3 up
+    to ``max_step`` after any later one.  The sweep ends ``newton_failure``
+    when the t0 solve fails, ``divergence`` at the t tried when the step falls
+    below ``min_step`` or a solved state's minimum point leaves the window,
+    and ``reached_t1`` otherwise.
+    """
+    setup = build_setup(hp, xi, options or ContinuityOptions())
     options = setup.options
     trace = ContinuityTrace(
         volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n, xi=setup.xi,
     )
-
-    t = options.t0
-    try:
-        u, rnorm, iters, defect = _newton_1d(setup, t, setup.u0.copy())
-    except SolverError:
-        trace.termination = "newton_failure"
-        trace.final_step = 0.0
-        return trace
-    state = _state_1d(setup, t, u, rnorm, iters, defect)
-    if _escaped(state, setup, options):
-        trace.termination = "divergence"
-        trace.diverged_at = t
-        trace.final_step = t
-        return trace
-    trace.states.append(_summary(state, t))
-    trace.final_state = state
-
-    step = options.step0
+    t, u, step = 0.0, setup.u0, options.t0
     while t < 1.0:
         t_try = min(1.0, t + step)
-        try:
-            u_new, rnorm, iters, defect = _newton_1d(
-                setup, t_try, u.copy(), force_gauge=t_try >= 1.0
-            )
-            candidate = _state_1d(setup, t_try, u_new, rnorm, iters, defect)
-        except SolverError:
+        solved = _solve_state(setup, t_try, u, step)
+        if solved is None and not trace.states:
+            trace.termination = "newton_failure"
+            break
+        if solved is None:
             step *= 0.5
-            if step < options.min_step:
-                if 1.0 - t < 0.01:
-                    # the gauge-stiff band just below t = 1 can be
-                    # un-navigable by continuation at coarse grids; the
-                    # endpoint itself is still solvable with the translation
-                    # mode deflated, so hop over the band once
-                    try:
-                        u_new, rnorm, iters, defect = _newton_1d(
-                            setup, 1.0, u.copy(), force_gauge=True
-                        )
-                        state = _state_1d(setup, 1.0, u_new, rnorm, iters, defect)
-                        if not _escaped(state, setup, options):
-                            trace.states.append(_summary(state, 1.0 - t))
-                            trace.final_state = state
-                            trace.termination = "reached_t1"
-                            trace.final_step = 0.0
-                            return trace
-                    except SolverError:
-                        pass
-                trace.termination = "divergence"
-                trace.diverged_at = t_try
-                trace.final_step = t_try - t
-                return trace
-            continue
-        if _escaped(candidate, setup, options):
+            if step >= options.min_step:
+                continue
+            if 1.0 - t < 0.01:
+                # the gauge-stiff band just below t = 1 can be un-navigable by
+                # continuation at coarse grids; the endpoint itself is still
+                # solvable with the translation mode deflated, so hop over
+                # the band once
+                solved = _solve_state(setup, 1.0, u, 1.0 - t)
+        if solved is not None:
+            trace.u, trace.final_state = solved
+        if solved is None or abs(trace.final_state.x_t) > options.window * setup.box:
             trace.termination = "divergence"
-            trace.diverged_at = t_try
-            trace.final_step = t_try - t
-            trace.final_state = candidate
-            return trace
-        u, t, state = u_new, t_try, candidate
-        trace.states.append(_summary(state, step))
-        trace.final_state = state
-        step = min(options.max_step, step * 1.3)
-    trace.termination = "reached_t1"
-    trace.final_step = 0.0
+            trace.diverged_at, trace.final_step = t_try, t_try - t
+            break
+        u, state = solved
+        trace.states.append(state)
+        step = min(options.max_step, step * 1.3) if t > 0.0 else options.step0
+        t = state.t
+    else:
+        trace.termination = "reached_t1"
     return trace
-
-
-def _escaped(state: ContinuityState, setup: ContinuitySetup, options: ContinuityOptions) -> bool:
-    return abs(state.x_t) > options.window * setup.box
-
-
-def _summary(state: ContinuityState, step: float) -> StateSummary:
-    return StateSummary(
-        t=state.t, m_t=state.m_t, x_t=state.x_t, mass=state.mass,
-        residual=state.residual_norm, sup_psi=state.sup_psi, step=step,
-        grad_margin=state.grad_margin, centering=state.centering,
-        gauge_defect=state.gauge_defect,
-    )
 
 
 def estimate_rm_numeric(trace: ContinuityTrace) -> tuple[float, float]:

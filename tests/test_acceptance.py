@@ -17,7 +17,12 @@ import pytest
 
 import horofano as hf
 from horofano.cli import main
-from horofano.continuity import ContinuityOptions, continuity_sweep, estimate_rm_numeric
+from horofano.continuity import (
+    ContinuityOptions,
+    build_setup,
+    continuity_sweep,
+    estimate_rm_numeric,
+)
 
 DATA = Path(__file__).parent / "data"
 SEED = 20240811
@@ -306,7 +311,8 @@ def test_criterion_6_a_priori_diagnostics(reference_sweeps):
             assert abs(s.centering) <= 1e-3 * v
         # Lipschitz bound of the deformation potential on the final state
         state = trace.final_state
-        w = state.w
+        u0 = build_setup(hp, [trace.xi], ContinuityOptions(grid=trace.grid)).u0
+        w = state.t * trace.u + (1.0 - state.t) * u0
         h = 2 * trace.box / (trace.grid - 1)
         wgrad = (w[2:] - w[:-2]) / (2 * h)
         assert float(np.max(np.abs(wgrad))) <= d0 + 1e-9 + 30.0 * state.gauge_defect

@@ -185,6 +185,21 @@ def test_continuity_divergence_estimate(tmp_path):
     assert report["continuity"]["reached_t1"] is True  # soliton path completes
 
 
+def test_t0_one_deflates_the_gauge_of_the_first_solve(tmp_path):
+    # every solve at t = 1 deflates the translation mode, the first one at
+    # t0 = 1 included; its minimum value m_1 is within 5e-5 of the closed
+    # form -log(psi(0) / c) = -0.6640147 of the t = 1 equation
+    spec = dict(TORIC_M12)
+    spec["options"] = {"grid": 2001}
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    assert main(["continuity", "--input", write(tmp_path, spec), "--t0", "1",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    assert json.loads(out.read_text())["continuity"]["termination"] == "reached_t1"
+    (row,) = trace.read_text().splitlines()[1:]
+    t, m_1 = (float(v) for v in row.split(",")[:2])
+    assert t == 1.0 and abs(m_1 + 0.6640147) < 5e-5
+
+
 @pytest.mark.parametrize("command,flag,target", [
     ("invariants", "--out", "missing/r.json"),
     ("invariants", "--out", "."),

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import struct
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,11 +58,10 @@ def residual_and_mask(setup, u, t):
 
 
 def state_at(hp, t, xi, options):
-    """The state at t < 1 solved from the reference potential, as the sweep
-    solves its first state at t0 = t."""
+    """The potential and state at t < 1 solved from the reference potential,
+    as the sweep solves its first state at t0 = t."""
     setup = build_setup(hp, xi, dataclasses.replace(options, t0=t))
-    u, rnorm, iters, defect = continuity._newton_1d(setup, t, setup.u0.copy())
-    return continuity._state_1d(setup, t, u, rnorm, iters, defect), setup
+    return *continuity._solve_state(setup, t, setup.u0, t), setup
 
 
 def test_reference_potential_symmetric():
@@ -126,11 +127,33 @@ def scan_1d():
     b in {5/4, ..., 4}, in quarter steps."""
     halves = [Q(k, 2) for k in range(1, 9)]
     problems = [synthetic_problem(from_vertices([(-a,), (b,)])) for a in halves for b in halves]
-    rd = build_root_system([("B", 1)])
-    pd = parabolic_data(rd, [])
-    problems += [problem_from_root_data(rd, pd, from_vertices([(Q(a, 4),), (Q(b, 4),)]))
-                 for a in range(4) for b in range(5, 17)]
-    return problems
+    return problems + [_b1(Q(a, 4), Q(b, 4)) for a in range(4) for b in range(5, 17)]
+
+
+def _scan_tool():
+    spec = importlib.util.spec_from_file_location(
+        "scan_1d", Path(__file__).resolve().parent.parent / "tools" / "scan_1d.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
+    # the tool scans the fixture's intervals in the fixture's order, toric
+    # (no density form) first; its line for one input is recorded
+    tool = _scan_tool()
+    inputs = list(tool.scan_inputs())
+    assert len(inputs) == len(scan_1d)
+    for (label, spec), hp in zip(inputs, scan_1d):
+        vertices = [tuple(Q(c) for c in v) for v in spec["polytope"]["moment"]["vertices"]]
+        assert vertices == [tuple(v) for v in hp.moment.vertices]
+        assert label.startswith("B1") == bool(hp.density.forms)
+    monkeypatch.chdir(tmp_path)
+    assert tool.run_one("toric[-1,2]", dict(inputs)["toric[-1,2]"], "all") == (
+        "toric[-1,2] all reached_t1 12 5a966acf50786841 7a7f322f707b70b5 "
+        "54764910919262e1 e3b0c44298fc1c14 5feceb66ffc86f38"
+    )
 
 
 @pytest.mark.parametrize("field, expected", [
@@ -178,8 +201,8 @@ def test_ma_residual_at_reference_is_nonzero_definition(toric_m12):
 
 
 def test_ma_residual_of_solution_is_small(toric_m12):
-    state, setup = state_at(toric_m12, 0.1, [0.0], OPTS_FAST)
-    f, mask = residual_and_mask(setup, state.u, 0.1)
+    u, _, setup = state_at(toric_m12, 0.1, [0.0], OPTS_FAST)
+    f, mask = residual_and_mask(setup, u, 0.1)
     assert mask.all()
     assert np.max(np.abs(f)) <= 1e-8
 
@@ -193,24 +216,24 @@ def test_ma_residual_flags_escaped_gradient(toric_m12):
 
 def test_solve_at_t_symmetric_even_solution():
     hp = synthetic_problem(from_vertices([(-1,), (1,)]))
-    state, _ = state_at(hp, 0.4, [0.0], OPTS_FAST)
+    u, state, setup = state_at(hp, 0.4, [0.0], OPTS_FAST)
     assert state.x_t == 0.0
-    n = state.u.shape[0]
-    assert np.allclose(state.u, state.u[::-1], atol=1e-9)
-    assert abs(state.m_t - state.w[n // 2]) < 1e-12
+    n = u.shape[0]
+    assert np.allclose(u, u[::-1], atol=1e-9)
+    assert abs(state.m_t - (0.4 * u[n // 2] + 0.6 * setup.u0[n // 2])) < 1e-12
 
 
 def test_solve_at_t_mass_identity(toric_m12):
-    state, _ = state_at(toric_m12, 0.1, [0.0], ContinuityOptions(grid=2001))
+    _, state, _ = state_at(toric_m12, 0.1, [0.0], ContinuityOptions(grid=2001))
     assert abs(state.mass - 3.0) / 3.0 <= 1e-4
-    assert state.residual_norm <= 1e-9
+    assert state.residual <= 1e-9
 
 
 def test_solve_at_t_soliton_path_end(toric_m12, toric_m12_soliton):
     trace = continuity_sweep(toric_m12, toric_m12_soliton, OPTS_FAST)
     state = trace.final_state
     assert trace.reached_t1 and state.t == 1.0
-    assert state.residual_norm <= 1e-8
+    assert state.residual <= 1e-8
     assert abs(state.mass - 3.0) / 3.0 <= 1e-3
 
 
@@ -245,6 +268,44 @@ def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
     assert trace.termination == "divergence"
     assert len(trace.states) >= 1
     assert trace.final_step < 2 * ContinuityOptions.min_step
+
+
+def test_escaped_state_is_the_final_state():
+    # the state whose minimum point left the window is kept, at t0 as after
+    # accepted states, with its potential
+    hp = synthetic_problem(from_vertices([(-1,), (2,)]))
+    options = ContinuityOptions(grid=201, window=1e-3)
+    at_t0 = continuity_sweep(hp, [0.0], options)
+    later = continuity_sweep(_b1(Q(1, 4), 3), [0.0], ContinuityOptions(grid=401))
+    assert (at_t0.termination, len(at_t0.states)) == ("divergence", 0)
+    assert len(later.states) == 20
+    for trace in (at_t0, later):
+        state = trace.final_state
+        assert trace.termination == "divergence" and state.t == trace.diverged_at
+        assert abs(state.x_t) > options.window * trace.box
+        assert trace.u.shape == (trace.grid,)
+    assert at_t0.final_state.t == options.t0
+
+
+def test_accepted_states_count_their_newton_iterations(zero_field_401, toric_m12,
+                                                      toric_m12_soliton):
+    # every accepted state, the first one and the gauge-deflated t = 1 one
+    # included, reports the iterations of its solve
+    trace, counts = zero_field_401
+    iterations = [s.newton_iterations for s in trace.states]
+    assert all(1 <= n <= continuity.MAX_NEWTON for n in iterations)
+    assert sum(iterations) <= counts["accepted"]
+    end = continuity_sweep(toric_m12, toric_m12_soliton, ContinuityOptions(grid=401)).states[-1]
+    assert end.t == 1.0 and end.newton_iterations >= 1
+
+
+def test_t0_one_on_a_density_wall_fails_without_warnings():
+    # the gauge-deflated first solve rejects line-search trials whose
+    # residual overflowed, and so whose gauge split is NaN, without a
+    # warning (the test run turns warnings into errors)
+    hp = _b1(0, Q(5, 4))
+    trace = continuity_sweep(hp, solve_soliton(hp).xi, ContinuityOptions(t0=1.0))
+    assert trace.termination == "newton_failure"
 
 
 def test_sweep_symmetric_reaches_one():
@@ -359,30 +420,53 @@ def test_zero_field_sweep_kernel_call_counts(zero_field_401):
     assert (counts["residuals"], counts["jacobians"], counts["solves"]) == (6778, 785, 27)
 
 
-def _b1_half_to_3():
+def _b1(a, b):
     rd = build_root_system([("B", 1)])
-    return problem_from_root_data(rd, parabolic_data(rd, []),
-                                  from_vertices([(Q(1, 2),), (3,)]))
+    return problem_from_root_data(rd, parabolic_data(rd, []), from_vertices([(a,), (b,)]))
 
 
-@pytest.mark.parametrize("make, expected", [
+def _soliton_sweep(hp, grid):
+    return continuity_sweep(hp, solve_soliton(hp).xi, ContinuityOptions(grid=grid))
+
+
+def _b1_half_to_3():
+    """The soliton-path sweep of B1 [1/2, 3] at grid 401."""
+    return _soliton_sweep(_b1(Q(1, 2), 3), 401)
+
+
+@pytest.mark.parametrize("sweep, expected", [
     # one density form and a nonzero field: the stencil's gradient is read
     (_b1_half_to_3, "05f9750fa2c5a3d63f1d105d9a66099f4b69dc44241a04f21f8aee80c838d74a"),
     # no forms; the sweep ends with the gauge-deflated solve at t = 1
-    (lambda: synthetic_problem(from_vertices([(-1,), (2,)])),
+    (lambda: _soliton_sweep(synthetic_problem(from_vertices([(-1,), (2,)])), 401),
      "f8363eca55d6ecef88b82a5601942184fbfdbfa142dca4c858713dab8b6bbde3"),
+    # zero field: the minimum point escapes the window after 20 states
+    (lambda: continuity_sweep(_b1(Q(1, 4), 3), [0.0], ContinuityOptions(grid=401)),
+     "84e505f489ba4cb2b87bc7a6a5e75ac806fbec95ba3fc98e3a29923fb541afed"),
+    # the step collapses at t = 0.999822 and the hop to t = 1 succeeds
+    (lambda: _soliton_sweep(synthetic_problem(from_vertices([(Q(-5, 2),), (Q(1, 2),)])), 2001),
+     "4a800df60a9944c2e28530d1bbcee47337bad26993e79d50a2429bf5565ae88c"),
+    # the step collapses at t = 0.999822 and the hop fails: divergence.  This
+    # outcome flips when xi moves in its last bits, so a change to the
+    # soliton solve may move this pin without a change to the sweep
+    (lambda: _soliton_sweep(synthetic_problem(from_vertices([(-3,), (Q(1, 2),)])), 2001),
+     "507b5aa595f74e61b28173916a611630f397359bb994cfd12c628a3f874694ce"),
 ])
-def test_soliton_path_sweep_golden(make, expected):
-    # every state float and the final potential's bytes, at grid 401
-    hp = make()
-    trace = continuity_sweep(hp, solve_soliton(hp).xi, ContinuityOptions(grid=401))
-    assert trace.reached_t1
-    assert trace.states[-1].t == 1.0 and trace.states[-1].gauge_defect > 0
+def test_soliton_path_sweep_golden(sweep, expected):
+    # every state float and the final potential's bytes; a diverged sweep
+    # adds where it stopped and its last step
+    trace = sweep()
+    if trace.reached_t1:
+        assert trace.states[-1].t == 1.0 and trace.states[-1].gauge_defect > 0
+    else:
+        assert trace.termination == "divergence"
     floats = [v for s in trace.states
               for v in (s.t, s.m_t, s.x_t, s.mass, s.residual, s.sup_psi, s.step,
                         s.grad_margin, s.centering, s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats))
-    digest.update(trace.final_state.u.tobytes())
+    digest.update(trace.u.tobytes())
+    if trace.diverged_at is not None:
+        digest.update(struct.pack("<2d", trace.diverged_at, trace.final_step))
     assert digest.hexdigest() == expected
 
 
@@ -409,20 +493,14 @@ def test_sweep_diagnostics_a_priori(toric_m12, toric_m12_soliton):
 
 
 def test_sweep_density_case_reaches_one():
-    rd = build_root_system([("B", 1)])
-    pd = parabolic_data(rd, [])
-    hp = problem_from_root_data(rd, pd, from_vertices([(Q(1, 2),), (3,)]))
-    xi = solve_soliton(hp).xi
-    trace = continuity_sweep(hp, xi, ContinuityOptions(grid=1201))
+    trace = _soliton_sweep(_b1(Q(1, 2), 3), 1201)
     assert trace.reached_t1
     v = trace.volume
     assert all(abs(s.mass - v) / v <= 1e-3 for s in trace.states)
 
 
 def test_sweep_density_zero_field_matches_exact_bound():
-    rd = build_root_system([("B", 1)])
-    pd = parabolic_data(rd, [])
-    hp = problem_from_root_data(rd, pd, from_vertices([(Q(1, 2),), (3,)]))
+    hp = _b1(Q(1, 2), 3)
     exact = float(greatest_ricci_lower_bound(hp).t_infinity)
     trace = continuity_sweep(hp, [0.0], ContinuityOptions(grid=1201))
     assert trace.termination == "divergence"
@@ -433,10 +511,7 @@ def test_sweep_density_zero_field_matches_exact_bound():
 def test_wall_touching_boundary_closure_rows():
     # moment polytope touching the density wall: the clamped boundary slope
     # sits where the density vanishes and the closure row takes over
-    rd = build_root_system([("B", 1)])
-    pd = parabolic_data(rd, [])
-    hp = problem_from_root_data(rd, pd, from_vertices([(0,), (3,)]))
-    setup = build_setup(hp, [0.0], OPTS_FAST)
+    setup = build_setup(_b1(0, 3), [0.0], OPTS_FAST)
     assert setup.closed_r and not setup.closed_l
 
 
