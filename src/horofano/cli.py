@@ -56,7 +56,6 @@ class LoadedProblem:
     tol: float
     reflectivity: ReflectivityReport | None
     input_hash: str
-    q_given: bool
 
 
 def _require(obj: dict, key: str, path: str):
@@ -145,8 +144,7 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
             )
 
     reflectivity = None
-    q_given = "Q" in poly_spec
-    if q_given:
+    if "Q" in poly_spec:
         q_poly = polytope_from_json(poly_spec["Q"], "polytope.Q")
         if q_poly.dim != rd.dim:
             raise SchemaError(
@@ -195,7 +193,7 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     tol = options.tol if "tol" in opts else 1e-10
     return LoadedProblem(
         hp=hp, options=options, tol=tol, reflectivity=reflectivity,
-        input_hash=digest, q_given=q_given,
+        input_hash=digest,
     )
 
 

@@ -17,7 +17,7 @@ simplex, Baldoni et al., "How to integrate a polynomial over a simplex",
 Math. Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``), the float
 simplex vertices and, per quadrature order, each simplex's node weights with
 the density folded in.  The unit-simplex nodes and weights depend only on
-(r, order) and live in a module-level table; each ``weighted_moments`` call
+(r, order) and are cached per pair; each ``weighted_moments`` call
 maps the unit nodes affinely onto every simplex and hands them, with the
 stored weights and the exponent, to ``kernels.quad_moments(points, weights,
 ell)``.  The stored weights take one float per node per order: about
@@ -182,42 +182,27 @@ class WeightedMoments:
     order: int
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# (r, order) -> tensor GL nodes collapsed onto the unit simplex, and their
-# weights times the Jacobian of the collapse; read-only, filled on first use
-_UNIT_NODES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(m)
-        _GL_CACHE[m] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GL_CACHE[m]
-
-
+@functools.cache
 def _unit_simplex_nodes(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor GL nodes on the unit r-simplex by the collapsing transform."""
-    key = (r, m)
-    if key not in _UNIT_NODES:
-        t1, w1 = _gl_unit(m)
-        grids = np.meshgrid(*([t1] * r), indexing="ij")
-        ts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        wgrids = np.meshgrid(*([w1] * r), indexing="ij")
-        ws = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
-        u = np.empty_like(ts)
-        jac = np.ones(ts.shape[0])
-        shrink = np.ones(ts.shape[0])
-        for i in range(r):
-            u[:, i] = ts[:, i] * shrink
-            jac *= shrink
-            shrink = shrink * (1.0 - ts[:, i])
-        wj = ws * jac
-        u.flags.writeable = False
-        wj.flags.writeable = False
-        # callers on several threads racing on a missing key build equal
-        # arrays; keep the first
-        _UNIT_NODES.setdefault(key, (u, wj))
-    return _UNIT_NODES[key]
+    """Tensor GL nodes on the unit r-simplex by the collapsing transform, and
+    their weights times the Jacobian of the collapse; read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    t1, w1 = (x + 1.0) / 2.0, w / 2.0
+    grids = np.meshgrid(*([t1] * r), indexing="ij")
+    ts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    wgrids = np.meshgrid(*([w1] * r), indexing="ij")
+    ws = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
+    u = np.empty_like(ts)
+    jac = np.ones(ts.shape[0])
+    shrink = np.ones(ts.shape[0])
+    for i in range(r):
+        u[:, i] = ts[:, i] * shrink
+        jac *= shrink
+        shrink = shrink * (1.0 - ts[:, i])
+    wj = ws * jac
+    u.flags.writeable = False
+    wj.flags.writeable = False
+    return u, wj
 
 
 def _simplex_points(verts: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -215,7 +215,6 @@ def from_halfspaces(halfspaces) -> Polytope:
             "halfspace intersection is lower-dimensional", condition="full_dimensional"
         )
     facets = _facets_from_points(vertices, dim)
-    vertices = _vertices_from_facets(facets, dim)
     return Polytope(dim=dim, vertices=tuple(vertices), facets=tuple(facets))
 
 
@@ -322,7 +321,6 @@ class ReflectivityReport:
     coroot_ok: bool
     coroot_witness: tuple[tuple[Vec, int, Vec, bool], ...]
     dominant_ok: bool
-    dominant_offenders: tuple[tuple[Vec, Vec], ...]
     f_bound: Q | None
 
     @property
@@ -369,8 +367,6 @@ def validate_reflective(
 
     dual_ok = True
     dual_offenders: list[Vec] = []
-    dominant_ok = True
-    dominant_offenders: list[tuple[Vec, Vec]] = []
     f_bound = None
     if zero_interior:
         dual = dual_polytope(q)
@@ -379,11 +375,9 @@ def validate_reflective(
                 dual_offenders.append(v)
                 dual_ok = False
         moment = dual.translate(pd.kappa)
-        for beta in rd.simple_roots:
-            for v in moment.vertices:
-                if rd.pairing(beta, v) < 0:
-                    dominant_offenders.append((beta, v))
-                    dominant_ok = False
+        dominant_ok = all(
+            rd.pairing(beta, v) >= 0 for beta in rd.simple_roots for v in moment.vertices
+        )
         if pd.phi_Q_plus:
             f_bound = max(
                 rd.pairing(alpha, v)
@@ -411,7 +405,6 @@ def validate_reflective(
         coroot_ok=coroot_ok,
         coroot_witness=tuple(witness),
         dominant_ok=dominant_ok,
-        dominant_offenders=tuple(dominant_offenders),
         f_bound=f_bound,
     )
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .dh import DHDensity, dh_barycenter, dh_volume, density_from_forms
@@ -26,7 +27,6 @@ class HorosphericalProblem:
     density: DHDensity
     rd: RootDatum | None = None
     pd: ParabolicDatum | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def a1_dim(self) -> int:
@@ -52,17 +52,13 @@ class HorosphericalProblem:
                 condition="density_nonneg",
             )
 
-    @property
+    @functools.cached_property
     def volume(self) -> Q:
-        if "volume" not in self._cache:
-            self._cache["volume"] = dh_volume(self.moment, self.density)
-        return self._cache["volume"]
+        return dh_volume(self.moment, self.density)
 
-    @property
+    @functools.cached_property
     def barycenter(self) -> Vec:
-        if "barycenter" not in self._cache:
-            self._cache["barycenter"] = dh_barycenter(self.moment, self.density)
-        return self._cache["barycenter"]
+        return dh_barycenter(self.moment, self.density)
 
 
 def problem_from_root_data(

@@ -8,11 +8,11 @@ the identity on these coordinates.  All data are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .errors import MathValidationError
-from .rationals import Vec, solve_square, vadd, vdot, vsum, zero_vec
+from .rationals import Vec, affine_rank, vadd, vdot, vsum, zero_vec
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -61,18 +61,13 @@ def _embed(v: Vec, offset: int, dim: int) -> Vec:
 @dataclass(frozen=True)
 class RootDatum:
     """A root system in ambient coordinates, on which the Weyl-invariant scalar
-    product is the identity.
-
-    ``expansions[k]`` gives the (nonnegative integer) coefficients of
-    ``positive_roots[k]`` over ``simple_roots``.
-    """
+    product is the identity."""
 
     family: tuple[tuple[str, int], ...]
     torus_rank: int
     dim: int
     simple_roots: tuple[Vec, ...]
     positive_roots: tuple[Vec, ...]
-    expansions: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def pairing(self, x: Vec, y: Vec) -> Q:
         return vdot(x, y)
@@ -96,20 +91,11 @@ def build_root_system(factors, torus_rank: int = 0) -> RootDatum:
     dim = sum(b[2] for b in blocks) + torus_rank
     simple: list[Vec] = []
     positive: list[Vec] = []
-    expansions: list[tuple[int, ...]] = []
     offset = 0
-    simple_offset = 0
-    for (blk_simple, blk_positive, blk_dim), (fam, rank) in zip(blocks, factors):
-        n_simple_total = sum(len(b[0]) for b in blocks)
-        for root in blk_positive:
-            coeffs = _expand_in_simple(blk_simple, root)
-            full = [0] * n_simple_total
-            full[simple_offset : simple_offset + len(coeffs)] = coeffs
-            expansions.append(tuple(full))
+    for blk_simple, blk_positive, blk_dim in blocks:
         simple.extend(_embed(s, offset, dim) for s in blk_simple)
         positive.extend(_embed(p, offset, dim) for p in blk_positive)
         offset += blk_dim
-        simple_offset += len(blk_simple)
 
     rd = RootDatum(
         family=factors,
@@ -117,35 +103,9 @@ def build_root_system(factors, torus_rank: int = 0) -> RootDatum:
         dim=dim,
         simple_roots=tuple(simple),
         positive_roots=tuple(positive),
-        expansions=tuple(expansions),
     )
     _check_cartan(rd)
     return rd
-
-
-def _expand_in_simple(simple: list[Vec], root: Vec) -> tuple[int, ...]:
-    """Coefficients of a positive root over the simple roots of its block."""
-    if not simple:
-        raise MathValidationError("root in a rootless block", condition="expansion")
-    dim = len(root)
-    # Least-squares-free exact solve: the Gram matrix of the simple roots is
-    # invertible, so project onto it.
-    g = [[vdot(a, b) for b in simple] for a in simple]
-    rhs = [vdot(a, root) for a in simple]
-    coeffs = solve_square(g, rhs)
-    if coeffs is None:
-        raise MathValidationError("simple roots degenerate", condition="expansion")
-    recon = vsum([tuple(c * x for x in s) for c, s in zip(coeffs, simple)], dim)
-    if recon != root:
-        raise MathValidationError("positive root outside simple-root span", condition="expansion")
-    out = []
-    for c in coeffs:
-        if c.denominator != 1 or c < 0:
-            raise MathValidationError(
-                f"non-integer expansion coefficient {c}", condition="expansion"
-            )
-        out.append(int(c))
-    return tuple(out)
 
 
 def _check_cartan(rd: RootDatum) -> None:
@@ -189,10 +149,13 @@ def parabolic_data(rd: RootDatum, levi) -> ParabolicDatum:
             raise MathValidationError(
                 f"Levi index {i} out of range 1..{n_simple}", condition="levi_subset"
             )
+    # every positive root is a nonnegative combination of the simple roots,
+    # so it is a Levi root exactly when it lies in the Levi simple roots' span
+    levi_simple = [rd.simple_roots[i - 1] for i in sorted(levi)]
     phi_q = [
         root
-        for root, coeffs in zip(rd.positive_roots, rd.expansions)
-        if any(c != 0 and (k + 1) not in levi for k, c in enumerate(coeffs))
+        for root in rd.positive_roots
+        if affine_rank([zero_vec(rd.dim), *levi_simple, root]) > len(levi_simple)
     ]
     kappa = vsum(phi_q, rd.dim)
     a_alpha: dict[Vec, int] = {}

@@ -258,7 +258,7 @@ def test_simplex_nodes_match_direct_construction(r, m):
     assert pts2.tobytes() == ref_pts.tobytes() and wts2.tobytes() == ref_wts.tobytes()
 
 
-def test_unit_node_table_concurrent_fill(monkeypatch):
+def test_unit_node_table_concurrent_fill():
     # more threads than cores start together on an empty table and switch
     # often; every caller must see the complete rule
     verts = np.array([[0.5, -1.25, 2.0], [3.0, -1.0, 2.5], [0.75, 1.5, 1.0], [1.0, -0.5, 4.25]])
@@ -276,7 +276,7 @@ def test_unit_node_table_concurrent_fill(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(dh, "_UNIT_NODES", {})
+            dh._unit_simplex_nodes.cache_clear()
             with ThreadPoolExecutor(max_workers=nthreads) as pool:
                 futures = [pool.submit(work, k) for k in range(nthreads)]
                 results += [f.result(timeout=60) for f in futures]

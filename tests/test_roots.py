@@ -1,9 +1,10 @@
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from horofano import MathValidationError, build_root_system, coroot, parabolic_data
-from horofano.rationals import vadd, vdot
+from horofano.rationals import solve_square, vadd, vdot
 
 
 def closure_from_cartan(cartan):
@@ -57,6 +58,14 @@ def test_torus_only():
     assert rd.simple_roots == ()
 
 
+def root_of(rd, coeffs):
+    """The root with the given coefficients over the simple roots."""
+    return tuple(
+        sum((c * s[i] for c, s in zip(coeffs, rd.simple_roots)), Q(0))
+        for i in range(rd.dim)
+    )
+
+
 def cartan_of(rd):
     return [
         [
@@ -71,7 +80,7 @@ def cartan_of(rd):
 def test_positive_roots_match_cartan_closure(family, rank):
     rd = build_root_system([(family, rank)])
     expected = closure_from_cartan(cartan_of(rd))
-    assert set(rd.expansions) == expected
+    assert set(rd.positive_roots) == {root_of(rd, c) for c in expected}
 
 
 def test_a2_has_three_positive_roots():
@@ -92,13 +101,11 @@ def test_positive_root_counts(family, rank, count):
 
 def test_positive_roots_are_nonneg_simple_combinations():
     rd = build_root_system([("B", 3), ("A", 2)], torus_rank=1)
-    for root, coeffs in zip(rd.positive_roots, rd.expansions):
-        recon = tuple(
-            sum((Q(c) * s[i] for c, s in zip(coeffs, rd.simple_roots)), Q(0))
-            for i in range(rd.dim)
-        )
-        assert recon == root
-        assert all(c >= 0 for c in coeffs)
+    gram = [[vdot(a, b) for b in rd.simple_roots] for a in rd.simple_roots]
+    for root in rd.positive_roots:
+        coeffs = solve_square(gram, [vdot(a, root) for a in rd.simple_roots])
+        assert root_of(rd, coeffs) == root
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
 
 
 def test_rejects_bad_input():
@@ -164,6 +171,42 @@ def test_kappa_dominant_and_a_positive(levi):
         if i not in pd.levi_subset:
             assert pairing > 0
     assert all(a > 0 for a in pd.a_alpha.values())
+
+
+PARABOLIC_CASES = [
+    *(([(fam, rank)], 0) for fam in "ABC" for rank in (1, 2, 3, 4)),
+    *(([("D", rank)], 0) for rank in (2, 3, 4)),
+    ([("B", 3), ("A", 2)], 1),
+    ([("A", 1), ("A", 1)], 0),
+    ([("A", 2)], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "factors,torus_rank",
+    PARABOLIC_CASES,
+    ids=["+".join(f"{f}{r}" for f, r in fs) + f"+T{t}" for fs, t in PARABOLIC_CASES],
+)
+def test_parabolic_data_matches_cartan_closure(factors, torus_rank):
+    # a Levi root is a closure coefficient vector supported in the Levi,
+    # mapped to a root through the simple roots
+    rd = build_root_system(factors, torus_rank=torus_rank)
+    n = len(rd.simple_roots)
+    closure = closure_from_cartan(cartan_of(rd))
+    assert set(rd.positive_roots) == {root_of(rd, c) for c in closure}
+    for size in range(n + 1):
+        for levi in combinations(range(1, n + 1), size):
+            levi_roots = {
+                root_of(rd, c)
+                for c in closure
+                if all(k + 1 in levi for k, x in enumerate(c) if x)
+            }
+            phi_q = tuple(r for r in rd.positive_roots if r not in levi_roots)
+            kappa = tuple(sum((r[i] for r in phi_q), Q(0)) for i in range(rd.dim))
+            pd = parabolic_data(rd, levi)
+            assert pd.phi_Q_plus == phi_q
+            assert pd.kappa == kappa
+            assert pd.a_alpha == {r: 2 * vdot(kappa, r) / vdot(r, r) for r in phi_q}
 
 
 def test_levi_index_out_of_range():
