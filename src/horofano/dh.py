@@ -11,17 +11,20 @@ check.
 Everything that does not depend on the exponent is built once per
 (polytope, density) pair and kept in a single-entry memo keyed on the
 identity of the two objects, so a freshly loaded problem always builds its
-own: the nonnegativity check, the fan triangulation, the exact density
-volume and first moments (one barycentric expansion of the density per
-simplex, Baldoni et al., "How to integrate a polynomial over a simplex",
-Math. Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``), the float
-simplex vertices and, per quadrature order, each simplex's node weights with
-the density folded in.  The unit-simplex nodes and weights depend only on
-(r, order) and are cached per pair; each ``weighted_moments`` call
-maps the unit nodes affinely onto every simplex and hands them, with the
-stored weights and the exponent, to ``kernels.quad_moments(points, weights,
-ell)``.  The stored weights take one float per node per order: about
-180 kB for the two orders of a B3 box (six simplices, orders 10 and 14).
+own: the nonnegativity check (in integers), the fan triangulation, the
+exact density volume and first moments (one barycentric expansion of the
+density per simplex, Baldoni et al., "How to integrate a polynomial over a
+simplex", Math. Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``),
+and, on first quadrature use, the float simplex vertices and per
+quadrature order each simplex's node weights with the density folded in.
+The unit-simplex nodes and weights depend only on (r, order) and are
+cached per pair; each ``weighted_moments`` call maps the unit nodes
+affinely onto every simplex and hands them, with the stored weights and
+the exponent, to ``kernels.quad_moments(points, weights, ell)``.  The
+stored weights take one float per node per order: about 180 kB for the two
+orders of a B3 box (six simplices, orders 10 and 14).  The exact commands
+never build the float data, so coordinates beyond the float range fail
+only the float commands, with a ``SolverError``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from math import factorial, gcd
 import numpy as np
 
 from . import kernels
-from .errors import MathValidationError, QuadratureError
+from .errors import MathValidationError, QuadratureError, SolverError
 from .polytopes import Polytope, Simplex, triangulate
-from .rationals import Vec, scaled_integers, vdot
+from .rationals import Vec, scaled_integers
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
@@ -60,7 +63,10 @@ class DHDensity:
         return len(self.forms)
 
     def nonnegative_on(self, polytope: Polytope) -> bool:
-        return all(vdot(f, v) >= 0 for f in self.forms for v in polytope.vertices)
+        # scaling by positive integers keeps every sign
+        verts, _ = scaled_integers(polytope.vertices)
+        forms, _ = scaled_integers(self.forms)
+        return all(sum(a * b for a, b in zip(f, v)) >= 0 for f in forms for v in verts)
 
 
 def density_from_forms(forms) -> DHDensity:
@@ -249,24 +255,38 @@ class _MomentData:
     """The exponent-independent moment data of one (polytope, density) pair.
 
     Built after the density passes the nonnegativity check: the fan
-    triangulation and the float simplex vertices at once, the exact volume
-    and first moments on first use, and per quadrature order the node
-    weights of every simplex times the density at each node.  The node
-    coordinates are not kept; each call maps them again from the unit table.
+    triangulation at once, the exact volume and first moments on first
+    exact use, the float simplex vertices and forms on first quadrature
+    use, and per quadrature order the node weights of every simplex times
+    the density at each node.  The node coordinates are not kept; each call
+    maps them again from the unit table.  The exact commands never build
+    the float data, so coordinates beyond the float range fail only the
+    float commands.
     """
 
     def __init__(self, polytope: Polytope, density: DHDensity):
         _require_nonnegative(polytope, density)
         self.polytope, self.density = polytope, density
         self.simplices = triangulate(polytope)
-        self.fverts = [
-            np.array([[float(c) for c in v] for v in s.vertices], dtype=np.float64)
-            for s in self.simplices
-        ]
-        self.fforms = np.array(
-            [[float(c) for c in f] for f in density.forms], dtype=np.float64
-        ).reshape(len(density.forms), polytope.dim)
         self._weights: dict[int, list[np.ndarray]] = {}
+
+    @functools.cached_property
+    def fverts(self) -> list[np.ndarray]:
+        """The vertices of every simplex as a float array."""
+        try:
+            return [
+                np.array([[float(c) for c in v] for v in s.vertices], dtype=np.float64)
+                for s in self.simplices
+            ]
+        except OverflowError:
+            raise SolverError("moment polytope coordinates beyond the float range") from None
+
+    @functools.cached_property
+    def fforms(self) -> np.ndarray:
+        """The density forms as the rows of a float array."""
+        return np.array(
+            [[float(c) for c in f] for f in self.density.forms], dtype=np.float64
+        ).reshape(self.density.degree, self.polytope.dim)
 
     @functools.cached_property
     def exact(self) -> tuple[Q, list[Q]]:

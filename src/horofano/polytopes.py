@@ -228,30 +228,28 @@ def dual_polytope(p: Polytope) -> Polytope:
     return from_halfspaces([(tuple(-c for c in v), Q(1)) for v in p.vertices])
 
 
-def _cmp_angle(center: Vec):
-    def cmp(pa: Vec, pb: Vec) -> int:
-        a = vsub(pa, center)
-        b = vsub(pb, center)
-        ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-        hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return cmp
+def _cmp_angle(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Counter-clockwise order of two offsets from a centre, from the +x
+    direction."""
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return -1 if ha < hb else 1
+    cross = a[0] * b[1] - a[1] * b[0]
+    if cross == 0:
+        return 0
+    return -1 if cross > 0 else 1
 
 
-def _order_polygon(points: list[Vec]) -> list[Vec]:
+def _fan_polygon(points: list[tuple[int, int]]) -> list[tuple]:
+    """The fan triangles of a convex polygon of integer points from its
+    least vertex.  The vertices are ordered by angle about their centre;
+    each offset from the centre is taken times the vertex count, which keeps
+    it an integer and keeps every sign."""
     n = len(points)
-    center = tuple(sum(p[i] for p in points) / n for i in range(2))
-    return sorted(points, key=cmp_to_key(_cmp_angle(center)))
-
-
-def _fan_polygon(points: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
-    ordered = _order_polygon(points)
+    sx, sy = sum(q[0] for q in points), sum(q[1] for q in points)
+    angle = cmp_to_key(_cmp_angle)
+    ordered = sorted(points, key=lambda q: angle((n * q[0] - sx, n * q[1] - sy)))
     start = ordered.index(min(ordered))
     cyc = ordered[start:] + ordered[:start]
     return [(cyc[0], cyc[i], cyc[i + 1]) for i in range(1, len(cyc) - 1)]
@@ -259,22 +257,29 @@ def _fan_polygon(points: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
 
 def triangulate(p: Polytope) -> list[Simplex]:
     """Deterministic fan triangulation from the lexicographically least
-    vertex; simplices have disjoint interiors covering p."""
+    vertex; simplices have disjoint interiors covering p.
+
+    Incidence and polygon order are decided in the integer coordinates
+    y = L x (``scaled_integers``), each facet taken as coprime integers
+    (n, c) with n.x <= c, so a vertex lies on it when n.y = c L.
+    """
     apex = p.vertices[0]
     if p.dim == 1:
         return [Simplex(vertices=p.vertices)]
+    ints, scale = scaled_integers(p.vertices)
     simplices: list[Simplex] = []
     for normal, offset in p.facets:
-        if vdot(normal, apex) == offset:
+        *n, c = coprime_integers((*normal, offset))[0]
+        tight = [i for i, y in enumerate(ints) if sum(a * b for a, b in zip(n, y)) == c * scale]
+        if tight[0] == 0:  # the facet holds the apex
             continue
-        tight = [v for v in p.vertices if vdot(normal, v) == offset]
         if p.dim == 2:
-            a, b = sorted(tight)
+            a, b = sorted(p.vertices[i] for i in tight)
             simplices.append(Simplex(vertices=(apex, a, b)))
         else:
-            drop = max(range(3), key=lambda i: (abs(normal[i]), -i))
+            drop = max(range(3), key=lambda i: (abs(n[i]), -i))
             keep = [i for i in range(3) if i != drop]
-            flat = {tuple(v[i] for i in keep): v for v in tight}
+            flat = {tuple(ints[j][i] for i in keep): p.vertices[j] for j in tight}
             for tri in _fan_polygon(sorted(flat)):
                 simplices.append(
                     Simplex(vertices=(apex,) + tuple(flat[q] for q in tri))

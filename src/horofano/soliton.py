@@ -49,17 +49,16 @@ def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> Solit
     """Damped Newton on G from xi = 0 until |F(xi)| <= tol * volume."""
     r = hp.a1_dim
     kappa = np.array([float(c) for c in hp.kappa])
-    vol = float(hp.volume)
+    try:
+        vol = float(hp.volume)
+    except OverflowError:
+        raise SolverError("density volume beyond the float range") from None
     xi = np.zeros(r)
-
-    def eval_all(point):
-        i0, i1, i2 = _moments_shifted(hp, point, **quad)
-        f = i1 - kappa * i0
-        hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + i0 * np.outer(kappa, kappa))
-        return i0, f, hess
-
-    g, f, hess = eval_all(xi)
+    moments = _moments_shifted(hp, xi, **quad)
     for it in range(MAX_ITER):
+        g, i1, i2 = moments
+        f = i1 - kappa * g
+        hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
         resid = float(np.linalg.norm(f))
         if resid <= tol * vol:
             return SolitonSolution(
@@ -76,14 +75,14 @@ def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> Solit
         lam = 1.0
         for _ in range(60):
             trial = xi + lam * step
-            g_trial = weighted_mass(hp, trial, **quad)
-            if g_trial <= g + ARMIJO_C * lam * slope + allowance:
+            # the accepted trial's moments are the next iterate's
+            moments = _moments_shifted(hp, trial, **quad)
+            if moments[0] <= g + ARMIJO_C * lam * slope + allowance:
                 break
             lam *= 0.5
         else:
             raise SolverError("line search failed in soliton Newton", last_state=xi)
-        xi = xi + lam * step
-        g, f, hess = eval_all(xi)
+        xi = trial
     raise SolverError(
         f"soliton Newton did not reach |F| <= {tol:g}*V in {MAX_ITER} iterations "
         "(is kappa interior to the moment polytope?)",

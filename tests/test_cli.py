@@ -353,6 +353,49 @@ def test_solver_failure_maps_to_exit_4(tmp_path):
     assert main(["soliton", "--input", src_path, "--tol", "1e-30"]) == 4
 
 
+BEYOND_FLOAT = {
+    "root_system": {"factors": [], "torus_rank": 1},
+    "levi_subset": [],
+    "polytope": {"moment": {"vertices": [["-1"], ["1e400"]]}},
+}
+
+
+@pytest.mark.parametrize("command, code", [
+    ("validate", 0), ("invariants", 0), ("ricci-bound", 0), ("soliton", 4), ("all", 4)])
+def test_coordinates_beyond_float_range(tmp_path, command, code):
+    # the exact commands never build float data; the float ones stop with
+    # a solver error that names the float range
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "horofano.cli", command, "--input",
+         write(tmp_path, BEYOND_FLOAT), "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 4:
+        assert proc.stderr.startswith("solver error: ") and "float range" in proc.stderr
+        return
+    report = json.loads(out.read_text())
+    top = 10**400
+    if command != "validate":
+        assert report["volume"] == str(top + 1)
+    if command == "ricci-bound":
+        # barycenter (N - 1)/2 for kappa = 0: the ray leaves [-1, N] at
+        # s = 2/(N - 1), so R = s/(1 + s) = 2/(N + 1)
+        assert report["R"] == str(Q(2, top + 1))
+
+
+def test_weighted_moments_beyond_float_range_is_solver_error():
+    from horofano import SolverError, density_from_forms, from_vertices, weighted_moments
+
+    p = from_vertices([(0, 0), (Q(10**400), 0), (0, 1)])
+    dens = density_from_forms([])
+    assert dh.dh_volume(p, dens) == Q(10**400, 2)
+    with pytest.raises(SolverError, match="float range"):
+        weighted_moments(p, dens, [0.0, 0.0])
+
+
 A2_LEVI = {
     "root_system": {"factors": [["A", 2]], "torus_rank": 0},
     "levi_subset": [1],

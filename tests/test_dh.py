@@ -9,6 +9,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import exact_reference as ref
 from horofano import (
@@ -23,6 +25,7 @@ from horofano import (
     weighted_moments,
 )
 from horofano import dh
+from horofano.rationals import vdot
 
 UNIT_TRIANGLE = Simplex(vertices=((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))))
 
@@ -390,6 +393,11 @@ SPECS = {
         "levi_subset": [],
         "polytope": {"Q": {"vertices": SQUARE}},
     },
+    "toric": {
+        "root_system": {"factors": [], "torus_rank": 1},
+        "levi_subset": [],
+        "polytope": {"moment": {"vertices": [["-1"], ["2"]]}},
+    },
 }
 
 
@@ -494,6 +502,81 @@ def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
     assert len(calls) == len(triangulate(p))
     assert len(factors) == len(calls) * dens.degree
     assert (vol, bar) == ref.volume_and_barycenter(p.vertices, p.facets, dens.forms)
+
+
+@pytest.mark.parametrize("name", ["a2-levi1", "b3-levi12", "toric", "b1"])
+def test_soliton_evaluates_each_field_once(tmp_path, monkeypatch, name):
+    from horofano import soliton
+
+    hp = _load(tmp_path, name)
+    ells = []
+    fn = soliton.weighted_moments
+
+    def recording(polytope, density, ell, **quad):
+        ells.append(np.asarray(ell, dtype=np.float64).tobytes())
+        return fn(polytope, density, ell, **quad)
+
+    monkeypatch.setattr(soliton, "weighted_moments", recording)
+    sol = soliton.solve_soliton(hp)
+    assert sol.iterations > 0
+    # every Newton step on these inputs is accepted at full length, so the
+    # line-search trials are the iterations; the first call is at xi = 0 and
+    # the last at the returned field
+    assert len(set(ells)) == len(ells) == 1 + sol.iterations
+    assert not np.any(np.frombuffer(ells[0]))
+    assert ells[-1] == (-2.0 * sol.xi).tobytes()
+
+
+def test_second_call_at_a_seen_order_builds_no_weights(tmp_path, monkeypatch):
+    hp = _load(tmp_path, "b3-levi12")
+    p, dens = hp.moment, hp.density
+    weighted_moments(p, dens, [0.3, -0.2, 0.1], order=10, rel_tol=1.0)
+    nodes = _counting(monkeypatch, "_simplex_nodes")
+    m = weighted_moments(p, dens, [-0.1, 0.2, 0.05], order=10, rel_tol=1.0)
+    assert m.order == 14 and nodes == []
+
+
+def _rational_points(dim):
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 4)
+
+
+@st.composite
+def polytopes_and_forms(draw):
+    """A rational polytope in dimension 1 to 3 and rational forms.  The
+    polytope is moved along the first form so that the form vanishes at
+    its least vertices, or is negative there and nowhere else."""
+    dim = draw(st.integers(1, 3))
+    try:
+        p = from_vertices(draw(_rational_points(dim)))
+    except MathValidationError:
+        assume(False)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    form = draw(st.tuples(*[coeff] * dim).filter(any))
+    values = sorted({vdot(form, v) for v in p.vertices})
+    shift = draw(st.sampled_from([-values[0], -(values[0] + values[1]) / 2]))
+    p = p.translate(tuple(shift * c / vdot(form, form) for c in form))
+    forms = draw(st.lists(st.tuples(*[coeff] * dim), max_size=3))
+    return p, draw(st.permutations([form, *forms]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polytopes_and_forms())
+def test_nonnegative_on_matches_the_fraction_route(case):
+    p, forms = case
+    dens = density_from_forms(forms)
+    want = all(vdot(f, v) >= 0 for f in dens.forms for v in p.vertices)
+    assert dens.nonnegative_on(p) is want
+
+
+def test_nonnegative_on_edge_cases():
+    square = from_vertices([(0, 0), (Q(3, 2), 0), (0, Q(2, 3)), (Q(3, 2), Q(2, 3))])
+    # vanishing at a vertex is nonnegative; negative at one vertex is not
+    assert density_from_forms([(1, 0), (0, 1), (Q(1, 3), Q(1, 7))]).nonnegative_on(square)
+    assert not density_from_forms([(1, Q(-1, 2))]).nonnegative_on(from_vertices(
+        [(0, 0), (1, 0), (0, 1)]))
+    assert not density_from_forms([(Q(-2, 3), Q(1, 1000))]).nonnegative_on(square)
+    assert density_from_forms([]).nonnegative_on(square)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import itertools
+import random
 from fractions import Fraction as Q
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 import exact_reference as ref
 from horofano import (
     MathValidationError,
+    Simplex,
     build_root_system,
     delta_from_moment,
     density_from_forms,
@@ -152,6 +156,81 @@ def test_triangulate_hexagon_fan_count():
 def test_triangulate_3d_box_volume():
     box = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 1) for z in (0, 3)])
     assert sum(ref.simplex_volume(t.vertices) for t in triangulate(box)) == 6
+
+
+def _fraction_triangulate(p):
+    """The fan triangulation with incidence and polygon order in
+    ``Fraction``s: the route the integer one must reproduce exactly."""
+    def cmp(a, b):
+        ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+        hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+        if ha != hb:
+            return -1 if ha < hb else 1
+        cross = a[0] * b[1] - a[1] * b[0]
+        return 0 if cross == 0 else (-1 if cross > 0 else 1)
+
+    def fan(points):
+        center = tuple(sum(q[i] for q in points) / len(points) for i in range(2))
+        ordered = sorted(points, key=cmp_to_key(
+            lambda a, b: cmp(tuple(x - c for x, c in zip(a, center)),
+                             tuple(x - c for x, c in zip(b, center)))))
+        start = ordered.index(min(ordered))
+        cyc = ordered[start:] + ordered[:start]
+        return [(cyc[0], cyc[i], cyc[i + 1]) for i in range(1, len(cyc) - 1)]
+
+    apex = p.vertices[0]
+    if p.dim == 1:
+        return [Simplex(vertices=p.vertices)]
+    out = []
+    for normal, offset in p.facets:
+        if vdot(normal, apex) == offset:
+            continue
+        tight = [v for v in p.vertices if vdot(normal, v) == offset]
+        if p.dim == 2:
+            out.append(Simplex(vertices=(apex, *sorted(tight))))
+            continue
+        drop = max(range(3), key=lambda i: (abs(normal[i]), -i))
+        keep = [i for i in range(3) if i != drop]
+        flat = {tuple(v[i] for i in keep): v for v in tight}
+        out += [Simplex(vertices=(apex, *(flat[q] for q in tri))) for tri in fan(sorted(flat))]
+    return out
+
+
+def _hexagonal_prism(rng, center, radius, height):
+    """A prism over a rational hexagon, tilted by a rational shear."""
+    hexagon = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
+    shear = Q(rng.randint(-3, 3), 4)
+    return from_vertices([
+        (center[0] + radius * x, center[1] + radius * y + shear * z, center[2] + z)
+        for x, y in hexagon for z in (0, height)])
+
+
+def test_triangulate_matches_the_fraction_route():
+    rng = random.Random(20261019)
+
+    def q(lo, hi, den=8):
+        return Q(rng.randint(lo * den, hi * den), den)
+
+    cases = [from_vertices(SQUARE), from_vertices([(-1,), (Q(5, 3),)])]
+    for _ in range(8):
+        dim = rng.randint(1, 3)
+        lo = [q(-3, 3) for _ in range(dim)]
+        cases.append(from_vertices(list(itertools.product(*[
+            (a, a + q(1, 3)) for a in lo]))))
+    while len(cases) < 26:
+        dim = rng.randint(2, 3)
+        try:
+            cases.append(from_vertices([tuple(q(-3, 3) for _ in range(dim))
+                                        for _ in range(dim + 1)]))
+        except MathValidationError:
+            continue  # a degenerate simplex draw
+    for _ in range(6):
+        cases.append(_hexagonal_prism(rng, [q(-2, 2) for _ in range(3)], q(1, 2), q(1, 3)))
+    # the cuboctahedron: square and triangle facets, normals of mixed sign
+    cases.append(from_vertices([(x, y, z) for x, y, z in itertools.product(
+        (-2, 0, 2), repeat=3) if abs(x) + abs(y) + abs(z) <= 4]))
+    for p in cases:
+        assert triangulate(p) == _fraction_triangulate(p)
 
 
 def test_moment_polytope_examples():
