@@ -27,6 +27,7 @@ at t = 1, where the continuous equation loses its position pinning.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,6 +46,8 @@ _POSITIVE_OPTIONS = ("tol", "step0", "max_step", "min_step", "window", "box", "q
 # degree + 48 (at most 57 for r <= 3), and an explicit start adds at most 28
 QUAD_ORDER_MIN, QUAD_ORDER_MAX = 4, 64
 MAX_NEWTON = 60  # Newton iterations per solve at one t
+# the largest grid a run may ask for, far above the finest grid a study uses
+GRID_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,12 @@ class ContinuityOptions:
 
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
-    number (a numeric string included), a fractional count, a grid below
-    11, t0 outside (0, 1] or a non-positive tolerance, step, window or box,
-    or a ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
-    ``SchemaError`` naming the option.
+    number (a numeric string included), a fractional count, a grid outside
+    [11, GRID_MAX], t0 outside (0, 1], a non-positive tolerance, step,
+    window or box, a box whose grid step h = 2 box / (grid - 1) has no
+    finite, normal, positive h * h, or a ``quad_order`` outside
+    [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a ``SchemaError`` naming the
+    option.
     """
 
     grid: int = 2001
@@ -85,12 +90,22 @@ class ContinuityOptions:
             if not ok:
                 what = "an integer" if kind is int else "a finite number"
                 raise SchemaError(f"expected {what}, got {value!r}", f"options.{f.name}")
-            if f.name == "grid" and num < 11:
-                raise SchemaError(f"must be at least 11, got {num!r}", "options.grid")
+            if f.name == "grid" and not 11 <= num <= GRID_MAX:
+                raise SchemaError(
+                    f"must lie in [11, {GRID_MAX}], got {num!r}", "options.grid"
+                )
             if f.name == "t0" and not 0 < num <= 1:
                 raise SchemaError(f"must lie in (0, 1], got {num!r}", "options.t0")
             if f.name in _POSITIVE_OPTIONS and not num > 0:
                 raise SchemaError(f"must be positive, got {num!r}", f"options.{f.name}")
+            if f.name == "box":
+                # grid precedes box, so it is already checked and converted
+                h = 2.0 * num / (self.grid - 1)
+                if not sys.float_info.min <= h * h < math.inf:
+                    raise SchemaError(
+                        f"gives a grid step h with h * h not a finite normal number, got {num!r}",
+                        "options.box",
+                    )
             if f.name == "quad_order" and not QUAD_ORDER_MIN <= num <= QUAD_ORDER_MAX:
                 raise SchemaError(
                     f"must lie in [{QUAD_ORDER_MIN}, {QUAD_ORDER_MAX}], got {num!r}",

@@ -8,15 +8,15 @@ exponential-weighted moments built on tensor Gauss-Legendre quadrature mapped
 to each simplex of the fixed fan triangulation, with a Richardson-style order
 check.
 
-Everything that does not depend on the exponent is built once per
-(polytope, density) pair and kept in a single-entry memo keyed on the
-identity of the two objects, so a freshly loaded problem always builds its
-own: the nonnegativity check (in integers), the fan triangulation, the
-exact density volume and first moments (one barycentric expansion of the
-density per simplex, Baldoni et al., "How to integrate a polynomial over a
-simplex", Math. Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``),
-and, on first quadrature use, the float simplex vertices and per
-quadrature order each simplex's node weights with the density folded in.
+Everything that does not depend on the exponent is built once per problem
+and held by it (``HorosphericalProblem.moment_data``), so it lives and dies
+with the problem: the fan triangulation, the exact density volume and first
+moments (one barycentric expansion of the density per simplex, Baldoni et
+al., "How to integrate a polynomial over a simplex", Math. Comp. 2011,
+shared by ``dh_volume`` and ``dh_barycenter``), and, on first quadrature
+use, the float simplex vertices and per quadrature order each simplex's
+node weights with the density folded in.  The density's nonnegativity is
+the problem's own check (``HorosphericalProblem.validate``).
 The unit-simplex nodes and weights depend only on (r, order) and are
 cached per pair; each ``weighted_moments`` call maps the unit nodes
 affinely onto every simplex and hands them, with the stored weights and
@@ -33,6 +33,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from . import kernels
 from .errors import MathValidationError, QuadratureError, SolverError
 from .polytopes import Polytope, Simplex, triangulate
 from .rationals import Vec, scaled_integers
+
+if TYPE_CHECKING:
+    from .problem import HorosphericalProblem
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
@@ -142,32 +146,16 @@ def _simplex_mass_moments(simplex: Simplex, affine) -> tuple[Q, list[Q]]:
     return Q(det * mass, scale**d * factorial(n) * denom), moments
 
 
-def _require_nonnegative(polytope: Polytope, density: DHDensity) -> None:
-    if not density.nonnegative_on(polytope):
-        raise MathValidationError(
-            "density is negative somewhere on the polytope", condition="density_nonneg"
-        )
+def dh_volume(hp: HorosphericalProblem) -> Q:
+    """Exact volume of the moment polytope for the density measure; a
+    vanishing volume is a ``MathValidationError``."""
+    return hp.moment_data.exact[0]
 
 
-def _require_positive(vol: Q) -> None:
-    if vol <= 0:
-        raise MathValidationError(
-            "density measure of the polytope vanishes", condition="positive_volume"
-        )
-
-
-def dh_volume(polytope: Polytope, density: DHDensity) -> Q:
-    """Exact volume of the polytope for the density measure; must be positive."""
-    vol, _ = _moment_data(polytope, density).exact
-    _require_positive(vol)
-    return vol
-
-
-def dh_barycenter(polytope: Polytope, density: DHDensity) -> Vec:
-    """Exact barycenter of the polytope for the density measure, read off
-    the same density expansion as ``dh_volume``."""
-    vol, first = _moment_data(polytope, density).exact
-    _require_positive(vol)
+def dh_barycenter(hp: HorosphericalProblem) -> Vec:
+    """Exact barycenter of the moment polytope for the density measure, read
+    off the same density expansion as ``dh_volume``."""
+    vol, first = hp.moment_data.exact
     return tuple(m / vol for m in first)
 
 
@@ -251,21 +239,20 @@ def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
     return s0 + c0, s1 + c1, s2 + c2
 
 
-class _MomentData:
-    """The exponent-independent moment data of one (polytope, density) pair.
+class MomentData:
+    """The exponent-independent moment data of one problem's (polytope,
+    density) pair, held by the problem (``HorosphericalProblem.moment_data``).
 
-    Built after the density passes the nonnegativity check: the fan
-    triangulation at once, the exact volume and first moments on first
-    exact use, the float simplex vertices and forms on first quadrature
-    use, and per quadrature order the node weights of every simplex times
-    the density at each node.  The node coordinates are not kept; each call
-    maps them again from the unit table.  The exact commands never build
-    the float data, so coordinates beyond the float range fail only the
-    float commands.
+    The fan triangulation at once, the exact volume and first moments on
+    first exact use, the float simplex vertices and forms on first
+    quadrature use, and per quadrature order the node weights of every
+    simplex times the density at each node.  The node coordinates are not
+    kept; each call maps them again from the unit table.  The exact commands
+    never build the float data, so coordinates beyond the float range fail
+    only the float commands.
     """
 
     def __init__(self, polytope: Polytope, density: DHDensity):
-        _require_nonnegative(polytope, density)
         self.polytope, self.density = polytope, density
         self.simplices = triangulate(polytope)
         self._weights: dict[int, list[np.ndarray]] = {}
@@ -290,7 +277,8 @@ class _MomentData:
 
     @functools.cached_property
     def exact(self) -> tuple[Q, list[Q]]:
-        """Exact density volume and first moments, one expansion per simplex."""
+        """Exact density volume and first moments, one expansion per simplex;
+        the volume must be positive."""
         vol = Q(0)
         first = [Q(0)] * self.polytope.dim
         affine = [(f, Q(0)) for f in self.density.forms]
@@ -298,6 +286,10 @@ class _MomentData:
             mass, moments = _simplex_mass_moments(s, affine)
             vol += mass
             first = [a + b for a, b in zip(first, moments)]
+        if vol <= 0:
+            raise MathValidationError(
+                "density measure of the polytope vanishes", condition="positive_volume"
+            )
         return vol, first
 
     def weights(self, m: int) -> list[np.ndarray]:
@@ -313,34 +305,14 @@ class _MomentData:
         return self._weights[m]
 
 
-# the data of the last (polytope, density) pair asked for; one entry at most
-_DATA: list[_MomentData] = []
-
-
-def _moment_data(polytope: Polytope, density: DHDensity) -> _MomentData:
-    """The moment data of this pair, built on first use.
-
-    The memo is keyed on the identity of the two objects, not on their
-    values, so every load of a problem builds its own data; the entry holds
-    both objects, so their ids are not reused while it lives.
-    """
-    for data in _DATA:
-        if data.polytope is polytope and data.density is density:
-            return data
-    _DATA.clear()  # never hold two pairs' weight tables at once
-    data = _MomentData(polytope, density)
-    _DATA.append(data)
-    return data
-
-
 def weighted_moments(
-    polytope: Polytope,
-    density: DHDensity,
+    hp: HorosphericalProblem,
     ell,
     order: int | None = None,
     rel_tol: float = DEFAULT_QUAD_REL_TOL,
 ) -> WeightedMoments:
-    """Exponential-weighted moments of the density measure over the polytope.
+    """Exponential-weighted moments of the density measure over the moment
+    polytope.
 
     Integrates exp(<ell, p>) * density against 1, p and p (x) p.  The order-m
     result is checked against order m+4, and m is raised by 8 until the
@@ -353,14 +325,14 @@ def weighted_moments(
     nodes, and the 1-D continuity outcome can move with the last bits of the
     soliton field, so r = 1 keeps the higher start.
     """
-    data = _moment_data(polytope, density)
-    r = polytope.dim
+    data = hp.moment_data
+    r = hp.moment.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
     if ell.shape != (r,):
         raise MathValidationError("exponent vector has wrong dimension")
     if order is None:
-        start = density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
-        top = density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
+        start = hp.density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
+        top = hp.density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
     else:
         start = max(4, int(order))
         top = start + MAX_ORDER_RAISE

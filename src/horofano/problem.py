@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .dh import DHDensity, dh_barycenter, dh_volume, density_from_forms
+from .dh import DHDensity, MomentData, dh_barycenter, dh_volume, density_from_forms
 from .errors import MathValidationError
 from .polytopes import Polytope
 from .rationals import Vec, zero_vec
@@ -19,7 +19,8 @@ class HorosphericalProblem:
 
     ``rd``/``pd`` carry the root-system provenance when the problem was built
     from group data; synthetic problems (tests, toric cases) may omit them.
-    Construction runs ``validate``, so every problem is valid.
+    Construction runs ``validate``, so every problem is valid, and the
+    problem holds the moment data that its ``dh`` integrals share.
     """
 
     moment: Polytope
@@ -53,12 +54,16 @@ class HorosphericalProblem:
             )
 
     @functools.cached_property
+    def moment_data(self) -> MomentData:
+        return MomentData(self.moment, self.density)
+
+    @functools.cached_property
     def volume(self) -> Q:
-        return dh_volume(self.moment, self.density)
+        return dh_volume(self)
 
     @functools.cached_property
     def barycenter(self) -> Vec:
-        return dh_barycenter(self.moment, self.density)
+        return dh_barycenter(self)
 
 
 def problem_from_root_data(

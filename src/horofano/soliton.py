@@ -25,7 +25,7 @@ MAX_ITER = 100
 def _moments_shifted(hp: HorosphericalProblem, xi: np.ndarray, **quad):
     """I0, I1, I2 of exp(-2<p-kappa, xi>) dmu, as floats."""
     kappa = np.array([float(c) for c in hp.kappa])
-    mom = weighted_moments(hp.moment, hp.density, -2.0 * xi, **quad)
+    mom = weighted_moments(hp, -2.0 * xi, **quad)
     scale = float(np.exp(2.0 * kappa @ xi))
     return scale * mom.i0, scale * mom.i1, scale * mom.i2
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bare import bare_problem
 import horofano as hf
 from horofano.cli import main
 from horofano.continuity import (
@@ -69,9 +70,9 @@ def test_criterion_1_exact_integration():
             coeffs = rng.integers(0, 3, size=dim)
             if coeffs.any():
                 forms.append(tuple(int(c) for c in coeffs))
-        dens = hf.density_from_forms(forms)
-        vol = hf.dh_volume(poly, dens)
-        bar = hf.dh_barycenter(poly, dens)
+        hp = bare_problem(poly, forms)
+        vol = hf.dh_volume(hp)
+        bar = hf.dh_barycenter(hp)
         mc = _mc_moments(poly, forms, 1_000_000, seed=SEED + checked)
         est, sigma = mc[0]
         assert abs(float(vol) - est) <= 4 * max(sigma, 1e-12)
@@ -84,16 +85,16 @@ def test_criterion_1_exact_integration():
     # closed forms: boxes factorize per axis, simplices via the barycentric
     # rule (the coordinate monomials as density forms)
     box = hf.from_vertices([(x, y) for x in (0, 2) for y in (0, 3)])
-    dens = hf.density_from_forms([(1, 0), (0, 1)])
-    assert hf.dh_volume(box, dens) == Q(2 * 2, 2) * Q(3 * 3, 2)
-    assert hf.dh_barycenter(box, dens) == (Q(4, 3), Q(2))
+    xy = [(1, 0), (0, 1)]
+    assert hf.dh_volume(bare_problem(box, xy)) == Q(2 * 2, 2) * Q(3 * 3, 2)
+    assert hf.dh_barycenter(bare_problem(box, xy)) == (Q(4, 3), Q(2))
     tri = hf.from_vertices([(0, 0), (1, 0), (0, 1)])
-    assert hf.dh_volume(tri, hf.density_from_forms([])) == Q(1, 2)
-    assert hf.dh_volume(tri, dens) == Q(1, 24)
+    assert hf.dh_volume(bare_problem(tri)) == Q(1, 2)
+    assert hf.dh_volume(bare_problem(tri, xy)) == Q(1, 24)
     tet = hf.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert hf.dh_volume(tet, hf.density_from_forms([])) == Q(1, 6)
-    xyz = hf.density_from_forms([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert hf.dh_volume(tet, xyz) == Q(1, 720)
+    assert hf.dh_volume(bare_problem(tet)) == Q(1, 6)
+    xyz = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert hf.dh_volume(bare_problem(tet, xyz)) == Q(1, 720)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -130,7 +131,7 @@ def test_criterion_2_futaki_soliton():
         xi = rng.uniform(-0.4, 0.4, size=2)
         # G'(xi) = -2 F(xi), F(xi) = e^{2<kappa, xi>} (I1 - kappa I0)
         kappa = np.array([float(c) for c in hp2.kappa])
-        mom = hf.weighted_moments(hp2.moment, hp2.density, -2.0 * xi)
+        mom = hf.weighted_moments(hp2, -2.0 * xi)
         grad = -2.0 * np.exp(2.0 * kappa @ xi) * (mom.i1 - kappa * mom.i0)
         for axis in range(2):
             step = np.zeros(2)

@@ -12,6 +12,7 @@ import pytest
 from horofano import (
     HorosphericalProblem,
     MathValidationError,
+    SchemaError,
     SolverError,
     build_root_system,
     continuity_sweep,
@@ -62,6 +63,25 @@ def state_at(hp, t, xi, options):
     as the sweep solves its first state at t0 = t."""
     setup = build_setup(hp, xi, dataclasses.replace(options, t0=t))
     return *continuity._solve_state(setup, t, setup.u0, t), setup
+
+
+def test_options_bound_the_grid_and_its_step():
+    # the constructor only: no grid is allocated
+    assert ContinuityOptions(grid=continuity.GRID_MAX).grid == continuity.GRID_MAX
+    assert ContinuityOptions(grid=201, box=1e150).box == 1e150
+    assert ContinuityOptions(grid=201, box=1e-150).box == 1e-150
+    for kwargs, name in [
+        ({"grid": continuity.GRID_MAX + 1}, "grid"),
+        ({"grid": 1e20}, "grid"),
+        # h = 2 box / (grid - 1): h * h overflows, or is zero or subnormal
+        ({"grid": 201, "box": 1e160}, "box"),
+        ({"grid": 201, "box": 1e-160}, "box"),
+        ({"box": 1e300}, "box"),
+        ({"box": 1e-300}, "box"),
+    ]:
+        with pytest.raises(SchemaError) as err:
+            ContinuityOptions(**kwargs)
+        assert err.value.field == f"options.{name}"
 
 
 def test_reference_potential_symmetric():
@@ -334,6 +354,45 @@ def test_sweep_soliton_field_reaches_one(toric_m12, toric_m12_soliton):
     assert trace.reached_t1
     assert trace.states[-1].residual <= 1e-8
     assert all(abs(s.mass - 3.0) / 3.0 <= 1e-3 for s in trace.states)
+
+
+def _m1_closed_form(hp, xi):
+    """The grid-free t = 1 minimum m_1 = -log(psi(0) / c) of a 1-D problem,
+    with psi(0) = -int_{q_lo}^0 s D(s) e^{xi s} ds, D(s) = prod(<f, kappa> -
+    s f / 2), q_lo = 2 (kappa - max P) and c = 2 V_xi / V, each integral by
+    200-point Gauss-Legendre."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    kappa = float(hp.kappa[0])
+    lo, hi = (float(v[0]) for v in hp.moment.vertices)
+    forms = [float(f[0]) for f in hp.density.forms]
+    p, wp = lo + (hi - lo) * (x + 1) / 2, w * (hi - lo) / 2
+    dens = np.prod([f * p for f in forms], axis=0) if forms else np.ones_like(p)
+    c_norm = 2 * np.sum(wp * dens * np.exp(-2 * (p - kappa) * xi)) / np.sum(wp * dens)
+    q_lo = 2 * (kappa - hi)
+    s, ws = q_lo * (x + 1) / 2, -w * q_lo / 2
+    d = np.prod([f * kappa - s * f / 2 for f in forms], axis=0) if forms else np.ones_like(s)
+    psi0 = -np.sum(ws * s * d * np.exp(xi * s))
+    return -math.log(psi0 / c_norm)
+
+
+@pytest.mark.parametrize("problem, m1, errors", [
+    (lambda: synthetic_problem(from_vertices([(-1,), (2,)])), -0.6640147,
+     {2001: 1.0e-5, 4001: 1.2e-6}),
+    # at grid 4001 this sweep ends in divergence
+    (lambda: _b1(Q(1, 2), 3), -0.3970334, {2001: 1.1e-4}),
+])
+def test_soliton_path_m1_matches_the_closed_form(problem, m1, errors):
+    hp = problem()
+    xi = float(solve_soliton(hp).xi[0])
+    exact = _m1_closed_form(hp, xi)
+    assert abs(exact - m1) < 1e-7
+    seen = []
+    for grid, error in errors.items():
+        trace = continuity_sweep(hp, [xi], ContinuityOptions(grid=grid))
+        assert trace.reached_t1
+        seen.append(abs(trace.states[-1].m_t - exact))
+        assert error / 2 <= seen[-1] <= 2 * error
+    assert seen == sorted(seen, reverse=True)
 
 
 def test_sweep_interval_m14_estimate():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bare import bare_problem
 import exact_reference as ref
 from horofano import (
     MathValidationError,
     Simplex,
     build_root_system,
     delta_from_moment,
-    density_from_forms,
     dh_volume,
     dual_polytope,
     from_halfspaces,
@@ -366,7 +366,7 @@ def test_random_3d_hulls_match_qhull_volume(rng):
             p = from_vertices([tuple(int(c) for c in row) for row in pts])
         except MathValidationError:
             continue
-        exact = float(dh_volume(p, density_from_forms([])))
+        exact = float(dh_volume(bare_problem(p)))
         hull = ConvexHull(pts.astype(float))
         assert abs(exact - hull.volume) < 1e-9 * max(1.0, hull.volume)
         # involution after centering at the (interior) vertex average

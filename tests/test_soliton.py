@@ -21,7 +21,7 @@ def futaki_vector(hp, xi):
     I1 the moments of exp(-2<p, xi>) dmu."""
     xi = np.asarray(xi, dtype=np.float64)
     kappa = np.array([float(c) for c in hp.kappa])
-    mom = weighted_moments(hp.moment, hp.density, -2.0 * xi)
+    mom = weighted_moments(hp, -2.0 * xi)
     return np.exp(2.0 * kappa @ xi) * (mom.i1 - kappa * mom.i0)
 
 
