@@ -44,9 +44,10 @@ CONVENTION = (
 COMMANDS = ("validate", "invariants", "soliton", "ricci-bound", "continuity", "all")
 OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(ContinuityOptions))
 # options that a command-line flag of the same name overrides
-FLAG_OPTIONS = ("grid", "box", "t0", "quad_order", "tol")
+FLAG_OPTIONS = ("grid", "t0", "quad_order", "tol")
 # the commands that run the continuity sweep, so the only ones --trace serves
 TRACE_COMMANDS = ("continuity", "all")
+INPUT_KEYS = ("root_system", "levi_subset", "polytope", "lattice_override", "options")
 
 
 @dataclass
@@ -62,6 +63,17 @@ def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError("missing required field", f"{path}.{key}" if path else key)
     return obj[key]
+
+
+def _object(value, path: str, keys, what: str = "key") -> dict:
+    """``value`` when it is an object whose keys all lie in ``keys``, else a
+    ``SchemaError`` naming ``path``."""
+    if not isinstance(value, dict):
+        raise SchemaError("expected an object", path)
+    for key in value:
+        if key not in keys:
+            raise SchemaError(f"unknown {what} {key!r}", path)
+    return value
 
 
 def _parse_matrix(obj, path: str):
@@ -95,12 +107,9 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "input")
-    if not isinstance(data, dict):
-        raise SchemaError("top-level value must be an object", "input")
+    _object(data, "input", INPUT_KEYS)
 
-    rs = _require(data, "root_system", "")
-    if not isinstance(rs, dict):
-        raise SchemaError("expected an object", "root_system")
+    rs = _object(_require(data, "root_system", ""), "root_system", ("factors", "torus_rank"))
     factors = rs.get("factors", [])
     torus_rank = rs.get("torus_rank", 0)
     if not isinstance(factors, list):
@@ -124,15 +133,12 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
         raise SchemaError("expected a list of 1-based simple-root indices", "levi_subset")
     pd = parabolic_data(rd, levi)
 
-    poly_spec = _require(data, "polytope", "")
-    if not isinstance(poly_spec, dict):
-        raise SchemaError("expected an object", "polytope")
+    poly_spec = _object(_require(data, "polytope", ""), "polytope", ("Q", "moment"))
     if ("Q" in poly_spec) == ("moment" in poly_spec):
         raise SchemaError("exactly one of 'Q' / 'moment' must be present", "polytope")
 
-    lattice = data.get("lattice_override") or {}
-    if lattice and not isinstance(lattice, dict):
-        raise SchemaError("expected an object with basis matrices", "lattice_override")
+    lattice = _object(data.get("lattice_override", {}), "lattice_override",
+                      ("coweight_basis", "character_basis"))
     coweight = _parse_matrix(lattice.get("coweight_basis"), "lattice_override.coweight_basis")
     character = _parse_matrix(lattice.get("character_basis"), "lattice_override.character_basis")
     for name, basis in [("coweight_basis", coweight), ("character_basis", character)]:
@@ -180,12 +186,7 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
 
     hp = problem_from_root_data(rd, pd, moment)
 
-    opts = data.get("options", {})
-    if not isinstance(opts, dict):
-        raise SchemaError("expected an object", "options")
-    for key in opts:
-        if key not in OPTION_NAMES:
-            raise SchemaError(f"unknown option {key!r}", "options")
+    opts = _object(data.get("options", {}), "options", OPTION_NAMES, "option")
     options = ContinuityOptions(**opts)
     # soliton solves default to 1e-10; the continuity solver's default stays
     # at its own 1e-9 (the attainable residual floor at desk grids) unless
@@ -313,8 +314,7 @@ def run(command: str, loaded: LoadedProblem, trace_path: str | None = None) -> d
 
     sol = None
     if command in ("soliton", "continuity", "all"):
-        sol = solve_soliton(hp, tol=loaded.tol, rel_tol=loaded.options.quad_rel_tol,
-                            order=loaded.options.quad_order)
+        sol = solve_soliton(hp, tol=loaded.tol, order=loaded.options.quad_order)
         report["xi"] = [float(v) for v in sol.xi]
         report["soliton_residual"] = sol.residual_norm
         report["soliton_iterations"] = sol.iterations
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", help="write the continuity trace CSV here")
     parser.add_argument("--tol", type=float, help="solver tolerance override")
     parser.add_argument("--grid", type=int, help="grid points per axis override")
-    parser.add_argument("--box", type=float, help="truncation half-width override")
     parser.add_argument("--t0", type=float, help="continuity start parameter override")
     parser.add_argument("--quad-order", type=int, help="quadrature order override")
     return parser

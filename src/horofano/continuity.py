@@ -27,7 +27,6 @@ at t = 1, where the continuous equation loses its position pinning.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,7 +39,6 @@ from .rationals import vdot
 from .soliton import weighted_mass
 
 
-_POSITIVE_OPTIONS = ("tol", "step0", "max_step", "min_step", "window", "box", "quad_rel_tol")
 # quadrature orders a run may ask for: the default start order is the density
 # degree + 20 for r = 1 and degree + 4 for r >= 2, the default top order is
 # degree + 48 (at most 57 for r <= 3), and an explicit start adds at most 28
@@ -48,37 +46,42 @@ QUAD_ORDER_MIN, QUAD_ORDER_MAX = 4, 64
 MAX_NEWTON = 60  # Newton iterations per solve at one t
 # the largest grid a run may ask for, far above the finest grid a study uses
 GRID_MAX = 10**6
+# the loosest residual tolerance a run may ask for, with room for the
+# tol = 1e-7 grid-refinement studies
+TOL_MAX = 1e-6
+# the t-step schedule of the sweep: the step after the t0 state, the largest
+# and smallest steps, and the share of the box the minimum point may reach
+STEP0, MAX_STEP, MIN_STEP = 0.05, 0.1, 1e-4
+WINDOW = 0.8
+_BOUNDS = {
+    "grid": (11, GRID_MAX),
+    "t0": (0, 1),
+    "tol": (0, TOL_MAX),
+    "quad_order": (QUAD_ORDER_MIN, QUAD_ORDER_MAX),
+}
 
 
 @dataclass(frozen=True)
 class ContinuityOptions:
-    """Grid, tolerances and step control of the continuity solver.
+    """Grid and tolerances of the continuity solver.
 
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
     number (a numeric string included), a fractional count, a grid outside
-    [11, GRID_MAX], t0 outside (0, 1], a non-positive tolerance, step,
-    window or box, a box whose grid step h = 2 box / (grid - 1) has no
-    finite, normal, positive h * h, or a ``quad_order`` outside
-    [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a ``SchemaError`` naming the
-    option.
+    [11, GRID_MAX], t0 outside (0, 1], tol outside (0, TOL_MAX], or a
+    ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
+    ``SchemaError`` naming the option.
     """
 
     grid: int = 2001
-    box: float | None = None
     t0: float = 0.1
     tol: float = 1e-9
-    step0: float = 0.05
-    max_step: float = 0.1
-    min_step: float = 1e-4
-    window: float = 0.8
-    quad_rel_tol: float = 1e-12
     quad_order: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name in ("box", "quad_order"):
+            if value is None and f.name == "quad_order":
                 continue
             kind = int if f.name in ("grid", "quad_order") else float
             try:
@@ -90,26 +93,13 @@ class ContinuityOptions:
             if not ok:
                 what = "an integer" if kind is int else "a finite number"
                 raise SchemaError(f"expected {what}, got {value!r}", f"options.{f.name}")
-            if f.name == "grid" and not 11 <= num <= GRID_MAX:
+            low, high = _BOUNDS[f.name]
+            # counts lie in [low, high], reals in (low, high]
+            inside = low <= num <= high if kind is int else low < num <= high
+            if not inside:
+                left = "[" if kind is int else "("
                 raise SchemaError(
-                    f"must lie in [11, {GRID_MAX}], got {num!r}", "options.grid"
-                )
-            if f.name == "t0" and not 0 < num <= 1:
-                raise SchemaError(f"must lie in (0, 1], got {num!r}", "options.t0")
-            if f.name in _POSITIVE_OPTIONS and not num > 0:
-                raise SchemaError(f"must be positive, got {num!r}", f"options.{f.name}")
-            if f.name == "box":
-                # grid precedes box, so it is already checked and converted
-                h = 2.0 * num / (self.grid - 1)
-                if not sys.float_info.min <= h * h < math.inf:
-                    raise SchemaError(
-                        f"gives a grid step h with h * h not a finite normal number, got {num!r}",
-                        "options.box",
-                    )
-            if f.name == "quad_order" and not QUAD_ORDER_MIN <= num <= QUAD_ORDER_MAX:
-                raise SchemaError(
-                    f"must lie in [{QUAD_ORDER_MIN}, {QUAD_ORDER_MAX}], got {num!r}",
-                    "options.quad_order",
+                    f"must lie in {left}{low}, {high}], got {num!r}", f"options.{f.name}"
                 )
             object.__setattr__(self, f.name, num)
 
@@ -173,11 +163,9 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     qlo, qhi = float(q_lo), float(q_hi)
     r_in, d0 = min(qhi, -qlo), max(qhi, -qlo)
     vol = float(hp.volume)
-    box = options.box
-    if box is None:
-        # the exp(-support) tail mass stays below 1e-8 * V, with a margin
-        # for the soliton tilt exp(-grad * xi) of the density
-        box = (math.log(2.0 / (r_in * (1e-8 * vol))) + 4.0 + abs(xi) * d0) / r_in
+    # the exp(-support) tail mass stays below 1e-8 * V, with a margin for the
+    # soliton tilt exp(-grad * xi) of the density
+    box = (math.log(2.0 / (r_in * (1e-8 * vol))) + 4.0 + abs(xi) * d0) / r_in
     n = int(options.grid)
     axis = np.linspace(-box, box, n)
     h = axis[1] - axis[0]
@@ -185,11 +173,7 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     if xi == 0.0:
         c_norm = 2.0
     else:
-        c_norm = (
-            2
-            * weighted_mass(hp, [xi], rel_tol=options.quad_rel_tol, order=options.quad_order)
-            / vol
-        )
+        c_norm = 2 * weighted_mass(hp, [xi], order=options.quad_order) / vol
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
     # the clamped boundary slope may sit on a wall of the density (exact
@@ -470,18 +454,17 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
 
     Each solve starts from the last accepted potential (the reference
     potential at t = 0).  A failed solve halves the step; an accepted state
-    sets it to ``step0`` after the first state, at t0, and grows it by 1.3 up
-    to ``max_step`` after any later one.  The sweep ends ``newton_failure``
+    sets it to ``STEP0`` after the first state, at t0, and grows it by 1.3 up
+    to ``MAX_STEP`` after any later one.  The sweep ends ``newton_failure``
     when the t0 solve fails, ``divergence`` at the t tried when the step falls
-    below ``min_step`` or a solved state's minimum point leaves the window,
-    and ``reached_t1`` otherwise.
+    below ``MIN_STEP`` or a solved state's minimum point leaves the window
+    |x_t| <= WINDOW * box, and ``reached_t1`` otherwise.
     """
     setup = build_setup(hp, xi, options or ContinuityOptions())
-    options = setup.options
     trace = ContinuityTrace(
         volume=setup.volume, d0=setup.d0, box=setup.box, grid=setup.n, xi=setup.xi,
     )
-    t, u, step = 0.0, setup.u0, options.t0
+    t, u, step = 0.0, setup.u0, setup.options.t0
     while t < 1.0:
         t_try = min(1.0, t + step)
         solved = _solve_state(setup, t_try, u, step)
@@ -490,7 +473,7 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
             break
         if solved is None:
             step *= 0.5
-            if step >= options.min_step:
+            if step >= MIN_STEP:
                 continue
             if 1.0 - t < 0.01:
                 # the gauge-stiff band just below t = 1 can be un-navigable by
@@ -500,13 +483,13 @@ def continuity_sweep(hp: HorosphericalProblem, xi,
                 solved = _solve_state(setup, 1.0, u, 1.0 - t)
         if solved is not None:
             trace.u, trace.final_state = solved
-        if solved is None or abs(trace.final_state.x_t) > options.window * setup.box:
+        if solved is None or abs(trace.final_state.x_t) > WINDOW * setup.box:
             trace.termination = "divergence"
             trace.diverged_at, trace.final_step = t_try, t_try - t
             break
         u, state = solved
         trace.states.append(state)
-        step = min(options.max_step, step * 1.3) if t > 0.0 else options.step0
+        step = min(MAX_STEP, step * 1.3) if t > 0.0 else STEP0
         t = state.t
     else:
         trace.termination = "reached_t1"

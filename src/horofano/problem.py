@@ -17,8 +17,8 @@ from .roots import ParabolicDatum, RootDatum
 class HorosphericalProblem:
     """Moment polytope, shift vector kappa and density in one coordinate space.
 
-    ``rd``/``pd`` carry the root-system provenance when the problem was built
-    from group data; synthetic problems (tests, toric cases) may omit them.
+    Group data enter only through kappa and the density forms, so a problem
+    built from root data and a synthetic one (tests, toric cases) are alike.
     Construction runs ``validate``, so every problem is valid, and the
     problem holds the moment data that its ``dh`` integrals share.
     """
@@ -26,8 +26,6 @@ class HorosphericalProblem:
     moment: Polytope
     kappa: Vec
     density: DHDensity
-    rd: RootDatum | None = None
-    pd: ParabolicDatum | None = None
 
     @property
     def a1_dim(self) -> int:
@@ -85,8 +83,6 @@ def problem_from_root_data(
         moment=moment,
         kappa=pd.kappa,
         density=density_from_forms(pd.phi_Q_plus),
-        rd=rd,
-        pd=pd,
     )
 
 

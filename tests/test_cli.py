@@ -261,6 +261,10 @@ def test_report_determinism_two_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# option names retired into module constants: each is an unknown option
+RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_tol")
+
+
 @pytest.mark.parametrize("options,flags,name", [
     ({"step0": 0}, [], "step0"),
     ({"t0": 1.5}, [], "t0"),
@@ -295,17 +299,41 @@ def test_report_determinism_two_runs(tmp_path):
     # beyond GRID_MAX: rejected before the grid is allocated
     ({"grid": 1e20}, [], "grid"),
     ({}, ["--grid", "100000000000000000000"], "grid"),
-    # a grid step whose square overflows or underflows
     ({"box": 1e300}, [], "box"),
     ({"box": 1e-300}, [], "box"),
+    # above TOL_MAX: a tolerance that accepts any state solves nothing
+    ({"tol": 1e300}, [], "tol"),
+    ({}, ["--tol", "1"], "tol"),
 ])
 def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
     spec = dict(TORIC_M12)
     spec["options"] = dict(TORIC_M12["options"], **options)
-    assert main(["continuity", "--input", write(tmp_path, spec), *flags]) == 2
+    argv = ["continuity", "--input", write(tmp_path, spec), *flags]
+    if "--box" in flags:
+        # no such flag: argparse exits 2 before any input is read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --box" in capsys.readouterr().err
+        return
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"schema error: options.{name}:")
-    assert err.count("\n") == 1
+    if name in RETIRED_OPTIONS:
+        assert err == f"schema error: options: unknown option {name!r}\n"
+    else:
+        assert err.startswith(f"schema error: options.{name}:")
+        assert err.count("\n") == 1
+
+
+def test_four_options_each_with_its_flag():
+    assert sorted(cli.OPTION_NAMES) == sorted(cli.FLAG_OPTIONS) == [
+        "grid", "quad_order", "t0", "tol"
+    ]
+    args = cli.build_parser().parse_args(
+        ["all", "--input", "p.json", "--grid", "11", "--t0", "1", "--tol", "1e-7",
+         "--quad-order", "4"]
+    )
+    assert [getattr(args, name) for name in cli.FLAG_OPTIONS] == [11, 1.0, 4, 1e-7]
 
 
 def test_cli_import_loads_no_scipy():
@@ -442,6 +470,26 @@ def test_lattice_override_shape_checked(tmp_path):
     bad = dict(REFLECTIVE_SQUARE)
     bad["lattice_override"] = {"coweight_basis": [["1", "0"]]}
     assert main(["validate", "--input", write(tmp_path, bad)]) == 2
+
+
+@pytest.mark.parametrize("change,message", [
+    # a misspelt key would silently leave its part at the defaults
+    ({"option": {"grid": 5}}, "input: unknown key 'option'"),
+    ({"lattice_override": {"bogus": 1}}, "lattice_override: unknown key 'bogus'"),
+    ({"root_system": {"factors": [], "torus_rank": 2, "rank": 2}},
+     "root_system: unknown key 'rank'"),
+    ({"polytope": {"moment": {"vertices": [["0"]]}, "facets": []}},
+     "polytope: unknown key 'facets'"),
+    # a falsy non-object is not an absent override
+    ({"lattice_override": []}, "lattice_override: expected an object"),
+    ({"lattice_override": False}, "lattice_override: expected an object"),
+    ({"lattice_override": 0}, "lattice_override: expected an object"),
+    ({"lattice_override": ""}, "lattice_override: expected an object"),
+])
+def test_input_keys_checked(tmp_path, capsys, change, message):
+    spec = dict(REFLECTIVE_SQUARE, **change)
+    assert main(["validate", "--input", write(tmp_path, spec)]) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 def test_all_nontoric_density_chain(tmp_path):

@@ -68,16 +68,11 @@ def state_at(hp, t, xi, options):
 def test_options_bound_the_grid_and_its_step():
     # the constructor only: no grid is allocated
     assert ContinuityOptions(grid=continuity.GRID_MAX).grid == continuity.GRID_MAX
-    assert ContinuityOptions(grid=201, box=1e150).box == 1e150
-    assert ContinuityOptions(grid=201, box=1e-150).box == 1e-150
+    assert ContinuityOptions(tol=continuity.TOL_MAX).tol == continuity.TOL_MAX
     for kwargs, name in [
         ({"grid": continuity.GRID_MAX + 1}, "grid"),
         ({"grid": 1e20}, "grid"),
-        # h = 2 box / (grid - 1): h * h overflows, or is zero or subnormal
-        ({"grid": 201, "box": 1e160}, "box"),
-        ({"grid": 201, "box": 1e-160}, "box"),
-        ({"box": 1e300}, "box"),
-        ({"box": 1e-300}, "box"),
+        ({"tol": 2 * continuity.TOL_MAX}, "tol"),
     ]:
         with pytest.raises(SchemaError) as err:
             ContinuityOptions(**kwargs)
@@ -271,7 +266,7 @@ def test_newton_iteration_cap(toric_m12, monkeypatch):
 
 def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
     # a singular or non-finite tridiagonal system is a failed Newton solve:
-    # the sweep shrinks the step down to min_step and reports divergence
+    # the sweep shrinks the step down to MIN_STEP and reports divergence
     thomas = kernels.thomas
     calls = {"n": 0}
 
@@ -287,22 +282,23 @@ def test_sweep_halves_the_step_on_a_failed_linear_solve(toric_m12, monkeypatch):
     trace = continuity_sweep(toric_m12, [0.0], ContinuityOptions(grid=201))
     assert trace.termination == "divergence"
     assert len(trace.states) >= 1
-    assert trace.final_step < 2 * ContinuityOptions.min_step
+    assert trace.final_step < 2 * continuity.MIN_STEP
 
 
-def test_escaped_state_is_the_final_state():
+def test_escaped_state_is_the_final_state(monkeypatch):
     # the state whose minimum point left the window is kept, at t0 as after
     # accepted states, with its potential
     hp = synthetic_problem(from_vertices([(-1,), (2,)]))
-    options = ContinuityOptions(grid=201, window=1e-3)
-    at_t0 = continuity_sweep(hp, [0.0], options)
+    options = ContinuityOptions(grid=201)
     later = continuity_sweep(_b1(Q(1, 4), 3), [0.0], ContinuityOptions(grid=401))
+    monkeypatch.setattr(continuity, "WINDOW", 1e-3)
+    at_t0 = continuity_sweep(hp, [0.0], options)
     assert (at_t0.termination, len(at_t0.states)) == ("divergence", 0)
     assert len(later.states) == 20
     for trace in (at_t0, later):
         state = trace.final_state
         assert trace.termination == "divergence" and state.t == trace.diverged_at
-        assert abs(state.x_t) > options.window * trace.box
+        assert abs(state.x_t) > continuity.WINDOW * trace.box
         assert trace.u.shape == (trace.grid,)
     assert at_t0.final_state.t == options.t0
 
@@ -578,7 +574,7 @@ def test_gauge_defect_scales_like_h2(toric_m12, toric_m12_soliton):
     defects = []
     for grid in (801, 1601):
         trace = continuity_sweep(toric_m12, toric_m12_soliton,
-                                 ContinuityOptions(grid=grid, box=11.377409494277815))
+                                 ContinuityOptions(grid=grid))
         assert trace.reached_t1
         defects.append(trace.final_state.gauge_defect)
     ratio = defects[0] / defects[1]
