@@ -105,7 +105,9 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a JSONDecodeError: a number literal past Python's digit
+        # limit, bytes that are not UTF-8, or nesting past the recursion limit
         raise SchemaError(f"invalid JSON: {exc}", "input")
     _object(data, "input", INPUT_KEYS)
 

@@ -11,16 +11,19 @@ check.
 Everything that does not depend on the exponent is built once per problem
 and held by it (``HorosphericalProblem.moment_data``), so it lives and dies
 with the problem: the fan triangulation, the exact density volume and first
-moments (one barycentric expansion of the density per simplex, Baldoni et
-al., "How to integrate a polynomial over a simplex", Math. Comp. 2011,
-shared by ``dh_volume`` and ``dh_barycenter``), and, on first quadrature
-use, the float simplex vertices and per quadrature order each simplex's
-node weights with the density folded in.  The density's nonnegativity is
-the problem's own check (``HorosphericalProblem.validate``).
-The unit-simplex nodes and weights depend only on (r, order) and are
-cached per pair; each ``weighted_moments`` call maps the unit nodes
-affinely onto every simplex and hands them, with the stored weights and
-the exponent, to ``kernels.quad_moments(points, weights, ell)``.  The
+moments (the density forms scaled to integers and the monomial weights
+tabled once, then one barycentric expansion of the density per simplex,
+Baldoni et al., "How to integrate a polynomial over a simplex", Math.
+Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``), and, on first
+quadrature use, the float simplex vertices and per quadrature order each
+simplex's node weights with the density folded in.  The density's
+nonnegativity is the problem's own check
+(``HorosphericalProblem.validate``).  The unit-simplex nodes and weights
+depend only on (r, order) and are cached per pair; each
+``weighted_moments`` call maps the unit nodes affinely onto every simplex
+and hands them, with the stored weights and the exponent, to
+``kernels.quad_moments(points, weights, ell)``, and sums the per-simplex
+results with Neumaier's compensation (ZAMM 1974) over plain floats.  The
 stored weights take one float per node per order: about 180 kB for the two
 orders of a B3 box (six simplices, orders 10 and 14).  The exact commands
 never build the float data, so coordinates beyond the float range fail
@@ -32,7 +35,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial, gcd
+from itertools import combinations_with_replacement
+from math import factorial, gcd, prod
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,21 +87,48 @@ def density_from_forms(forms) -> DHDensity:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_values(verts, scale: int, coeffs: Vec, offset: Q) -> tuple[list[int], int]:
-    """The values of x -> <coeffs, x> + offset at the points ``verts / scale``
-    (integer tuples), as integers over one positive denominator, the lcm of
-    the values' own denominators."""
-    (row,), m = scaled_integers([(*coeffs, offset)])
+def _integer_forms(affine) -> list[tuple[tuple[int, ...], int]]:
+    """Each affine form ``(coeffs, offset)`` as the integers ``(c, c0)``
+    and the positive m with <coeffs, x> + offset = (<c, x> + c0) / m."""
+    out = []
+    for coeffs, offset in affine:
+        (row,), m = scaled_integers([(*coeffs, offset)])
+        out.append((row, m))
+    return out
+
+
+def _vertex_values(verts, scale: int, row: tuple[int, ...], m: int) -> tuple[list[int], int]:
+    """The values of an integer form ``(row, m)`` of ``_integer_forms`` at the
+    points ``verts / scale`` (integer tuples), as integers over one positive
+    denominator, the lcm of the values' own denominators."""
     ints, shift = row[:-1], row[-1] * scale
     values = [shift + sum(a * b for a, b in zip(ints, v)) for v in verts]
     g = gcd(m * scale, *values)
     return [v // g for v in values], m * scale // g
 
 
-def _simplex_mass_moments(simplex: Simplex, affine) -> tuple[Q, list[Q]]:
-    """Integral over a simplex of the product of the affine forms
-    ``(coeffs, offset)`` and its first moments, from one barycentric
-    expansion of the product in integers.
+def _monomial_weights(k: int, d: int) -> tuple[list[int], list[list[int]]]:
+    """The keys of the barycentric monomials lambda^a of degree k in d + 1
+    variables (the exponents a read as base-(k + 1) digits) and, per
+    variable j, the weight prod(a!) (a_j + 1) of each monomial in the
+    first moments.  It depends only on (k, d), so one table serves every
+    simplex of a problem."""
+    base = k + 1
+    keys, weights = [], [[] for _ in range(d + 1)]
+    for combo in combinations_with_replacement(range(d + 1), k):
+        exps = [combo.count(j) for j in range(d + 1)]
+        keys.append(sum(a * base**j for j, a in enumerate(exps)))
+        w = prod(factorial(a) for a in exps)
+        for col, a in zip(weights, exps):
+            col.append(w * (a + 1))
+    return keys, weights
+
+
+def _simplex_mass_moments(simplex: Simplex, forms, table) -> tuple[Q, list[Q]]:
+    """Integral over a simplex of the product of affine forms, given as
+    ``_integer_forms``, and its first moments, from one barycentric
+    expansion of the product in integers; ``table`` is
+    ``_monomial_weights(len(forms), simplex.dim)``.
 
     Each factor is the barycentric form with its vertex values, integers
     over a denominator s_f.  The product of k factors is a sum of
@@ -104,46 +136,40 @@ def _simplex_mass_moments(simplex: Simplex, affine) -> tuple[Q, list[Q]]:
     as base-(k + 1) digits.  The integral of lambda^a is d! vol prod(a!) /
     (k + d)!; with x = sum_j lambda_j v_j, the moment of x_i is sum_j v_j[i]
     times the integral of lambda_j lambda^a, the same closed form with a_j
-    raised by one: d! vol prod(a!) (a_j + 1) / (k + d + 1)!.  As d! vol is
+    raised by one: d! vol prod(a!) (a_j + 1) / (k + d + 1)!.  The mass sums
+    prod(a!) = sum_j prod(a!) (a_j + 1) / (k + d + 1).  As d! vol is
     det / L^d, with det = |det| of the edges scaled by L (``Simplex.scaled``),
     the mass and each moment are one integer sum over one integer
     denominator.
     """
     d = simplex.dim
     verts, scale, det = simplex.scaled()
-    base = len(affine) + 1
+    base = len(forms) + 1
     shifts = [base**j for j in range(d + 1)]
     poly, denom = {0: 1}, 1
-    for coeffs, offset in affine:
-        values, s = _vertex_values(verts, scale, coeffs, offset)
+    for row, m in forms:
+        values, s = _vertex_values(verts, scale, row, m)
         if not any(values):
             return Q(0), [Q(0)] * d
         denom *= s
         out: dict[int, int] = {}
-        for key, c in poly.items():
-            for shift, v in zip(shifts, values):
-                if v:
-                    out[key + shift] = out.get(key + shift, 0) + c * v
+        get = out.get
+        for shift, v in zip(shifts, values):
+            if v:
+                for key, c in poly.items():
+                    key += shift
+                    out[key] = get(key, 0) + c * v
         poly = out
-    fact = [factorial(a) for a in range(base)]
-    mass = 0
-    lam = [0] * (d + 1)  # sum over a of c_a prod(a!) (a_j + 1)
-    for key, c in poly.items():
-        exps = []
-        for _ in range(d + 1):
-            key, a = divmod(key, base)
-            c *= fact[a]
-            exps.append(a)
-        mass += c
-        for j, a in enumerate(exps):
-            lam[j] += c * (a + 1)
-    n = len(affine) + d
+    keys, weights = table
+    coeffs = [poly.get(key, 0) for key in keys]
+    lam = [sum(map(mul, coeffs, col)) for col in weights]
+    n = len(forms) + d
     moments = [
         Q(det * sum(lj * v[i] for lj, v in zip(lam, verts)),
           scale ** (d + 1) * factorial(n + 1) * denom)
         for i in range(d)
     ]
-    return Q(det * mass, scale**d * factorial(n) * denom), moments
+    return Q(det * (sum(lam) // (n + 1)), scale**d * factorial(n) * denom), moments
 
 
 def dh_volume(hp: HorosphericalProblem) -> Q:
@@ -214,29 +240,24 @@ def _simplex_nodes(verts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _neumaier_reduce(parts: list[tuple[float, np.ndarray, np.ndarray]]):
-    """Compensated summation of per-simplex moment partials in list order."""
-    r = parts[0][1].shape[0]
-    s0, c0 = 0.0, 0.0
-    s1, c1 = np.zeros(r), np.zeros(r)
-    s2, c2 = np.zeros((r, r)), np.zeros((r, r))
-
-    def add_scalar(s, c, v):
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        return t, c
-
-    for p0, p1, p2 in parts:
-        s0, c0 = add_scalar(s0, c0, p0)
-        t1 = s1 + p1
-        c1 = c1 + np.where(np.abs(s1) >= np.abs(p1), (s1 - t1) + p1, (p1 - t1) + s1)
-        s1 = t1
-        t2 = s2 + p2
-        c2 = c2 + np.where(np.abs(s2) >= np.abs(p2), (s2 - t2) + p2, (p2 - t2) + s2)
-        s2 = t2
-    return s0 + c0, s1 + c1, s2 + c2
+    """Compensated (Neumaier) sum of per-simplex moment partials in list
+    order, entry by entry over plain floats: each part is flattened to its
+    1 + r + r^2 entries, and every entry sees the IEEE operations of the
+    elementwise array form in the same order."""
+    r = len(parts[0][1])
+    flat = [[p0, *p1.tolist(), *p2.ravel().tolist()] for p0, p1, p2 in parts]
+    sums = []
+    for entries in zip(*flat):
+        s = c = 0.0
+        for v in entries:
+            t = s + v
+            if abs(s) >= abs(v):
+                c += (s - t) + v
+            else:
+                c += (v - t) + s
+            s = t
+        sums.append(s + c)
+    return sums[0], np.array(sums[1:r + 1]), np.array(sums[r + 1:]).reshape(r, r)
 
 
 class MomentData:
@@ -281,9 +302,10 @@ class MomentData:
         the volume must be positive."""
         vol = Q(0)
         first = [Q(0)] * self.polytope.dim
-        affine = [(f, Q(0)) for f in self.density.forms]
+        forms = _integer_forms((f, 0) for f in self.density.forms)
+        table = _monomial_weights(len(forms), self.polytope.dim)
         for s in self.simplices:
-            mass, moments = _simplex_mass_moments(s, affine)
+            mass, moments = _simplex_mass_moments(s, forms, table)
             vol += mass
             first = [a + b for a, b in zip(first, moments)]
         if vol <= 0:
@@ -342,8 +364,7 @@ def weighted_moments(
         u, _ = _unit_simplex_nodes(r, n)
         parts = []
         for verts, wd in zip(data.fverts, data.weights(n)):
-            i0, i1, i2 = kernels.quad_moments(_simplex_points(verts, u), wd, ell)
-            parts.append((i0, np.asarray(i1), np.asarray(i2)))
+            parts.append(kernels.quad_moments(_simplex_points(verts, u), wd, ell))
         return _neumaier_reduce(parts)
 
     last_err = float("inf")

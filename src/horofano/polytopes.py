@@ -4,11 +4,13 @@ Both representations (vertices and facets ``{y : <normal, y> <= offset}``) are
 kept in canonical sorted order, so structurally equal polytopes compare equal.
 Construction, duality and triangulation are exact; ambient dimensions 1 to
 3 are supported, which covers every desk-scale problem here.  Coordinates
-are ``Fraction``s, but the facet and vertex enumerations and the simplex
-determinant compute in Python integers: points are scaled once by the lcm
-of their denominators (each facet inequality by its own), normals are signed
-maximal minors of integer edges and vertices come from Cramer's rule, with
-one ``Fraction`` built per result entry.
+are ``Fraction``s, but the facet and vertex enumerations, the rank tests and
+the simplex determinant compute in Python integers: points are scaled once
+by the lcm of their denominators (each facet inequality by its own), a
+candidate facet normal is the cross product of two integer edges (in 2-D
+the perpendicular of one), each distinct plane is tested once, with the
+side test stopping at the first points found on both sides, and vertices
+come from Cramer's rule, with one ``Fraction`` built per result entry.
 """
 
 from __future__ import annotations
@@ -109,26 +111,48 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Facet]:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
         return sorted([((Q(1),), hi), ((Q(-1),), -lo)])
-    # in integer coordinates y = L x: a candidate normal is the vector of
-    # signed maximal minors of the edges (their cross product in 3-D, the
-    # perpendicular in 2-D) over its gcd; either sign may come out, and
-    # each facet is kept with its outward sign
+    # in integer coordinates y = L x: a candidate normal is the cross product
+    # of two edges (in 2-D the perpendicular of one) over its gcd, signed so
+    # that its first nonzero entry is positive; each distinct plane (normal,
+    # offset) is tested once, and the scan of the points stops as soon as
+    # they lie on both sides of it
     pts, scale = scaled_integers(points)
-    facets: set[tuple[tuple[int, ...], int]] = set()
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    facets: list[tuple[tuple[int, ...], int]] = []
     for subset in combinations(pts, dim):
         base = subset[0]
-        edges = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-        normal = [(-1) ** j * int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(dim)]
+        if dim == 2:
+            ex, ey = (a - b for a, b in zip(subset[1], base))
+            normal = (ey, -ex)
+        else:
+            (ax, ay, az), (bx, by, bz) = (
+                [a - b for a, b in zip(p, base)] for p in subset[1:]
+            )
+            normal = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
         g = gcd(*normal)
         if g == 0:
             continue
+        if next(c for c in normal if c) < 0:
+            g = -g
         normal = tuple(c // g for c in normal)
         offset = sum(a * b for a, b in zip(normal, base))
-        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
-        if all(v <= offset for v in values):
-            facets.add((normal, offset))
-        if all(v >= offset for v in values):
-            facets.add((tuple(-a for a in normal), -offset))
+        if (normal, offset) in seen:
+            continue
+        seen.add((normal, offset))
+        above = below = False
+        for p in pts:
+            v = sum(a * b for a, b in zip(normal, p))
+            if v > offset:
+                above = True
+            elif v < offset:
+                below = True
+            if above and below:
+                break
+        else:
+            if above:
+                facets.append((tuple(-a for a in normal), -offset))
+            else:
+                facets.append((normal, offset))
     return sorted((tuple(Q(c) for c in n), Q(off, scale)) for n, off in facets)
 
 

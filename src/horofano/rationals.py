@@ -1,20 +1,36 @@
 """Exact rational vectors, matrices and small linear solves.
 
 Vectors are immutable tuples of ``Fraction``; the solves take a matrix as a
-sequence of rows and share one Gauss-Jordan elimination.  The integer
-routes of the polytope and density code scale rational rows to integers
-once (``scaled_integers``, ``coprime_integers``) and take small
-determinants in integers (``int_det``).  Everything here is exact,
-deterministic and free of floats.
+sequence of rows.  The integer routes scale rational rows to integers once
+(``scaled_integers``, ``coprime_integers``) and compute on plain Python
+integers: small determinants by cofactors (``int_det``), and ``affine_rank``,
+``solve_square`` and ``nullspace_vector`` by one fraction-free Gauss-Jordan
+elimination (``_reduce``), so a rank builds no ``Fraction`` and a solve one
+per returned entry.  Input rationals are bounded (``MAX_DIGITS``) and
+printing a result checks Python's limit on integer digits.  Everything here
+is exact, deterministic and free of floats.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Sequence
 
+from .errors import SchemaError
+
 Vec = tuple[Q, ...]
+
+# the most decimal digits an input rational's numerator or denominator may
+# have, well past the float range.  Report values on a B3 Levi {1,2} box
+# whose corners share one denominator have about 9 times as many digits
+# (4050 at this bound), within Python's 4300-digit limit on printing an
+# integer; corners with unrelated denominators grow up to about 36 times,
+# and a result past the limit is a ``SchemaError`` (``format_rational``)
+MAX_DIGITS = 450
+_DIGITS_BOUND = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def zero_vec(dim: int) -> Vec:
@@ -72,50 +88,63 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _reduce(rows: Sequence[Sequence[Q]], ncols: int) -> tuple[list[list[Q]], list[int]]:
-    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``;
-    any later column (a right-hand side) is carried along.  Returns the
-    reduced row echelon form and its pivot columns."""
+def _reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on
+    the first ``ncols`` columns of integer ``rows``; any later column (a
+    right-hand side) is carried along.
+
+    Each step with pivot p updates every other row to (p row - row[col]
+    pivot_row) / p_prev, an exact integer division: every entry stays a
+    minor of the input, so the integers grow no faster than those minors.
+    Returns the rows, the pivot columns and the last pivot d (1 when there
+    is none).  Each pivot row holds d at its own pivot column and 0 at the
+    others, so it is d times the reduced row echelon form.
+    """
     m = [list(row) for row in rows]
     pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Q(1) / m[r][col]  # a Fraction even for an integer pivot
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
         pivots.append(col)
-    return m, pivots
+        prev = p
+    return m, pivots, prev
 
 
 def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
     """Solve ``a x = b`` exactly; return None when ``a`` is singular."""
     n = len(b)
-    m, pivots = _reduce([(*row, bi) for row, bi in zip(a, b)], n)
+    rows, _ = scaled_integers([(*row, bi) for row, bi in zip(a, b)])
+    m, pivots, d = _reduce(rows, n)
     if len(pivots) < n:
         return None
-    return tuple(row[n] for row in m)
+    return tuple(Q(row[n], d) for row in m)
 
 
 def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
     """A nonzero exact solution of ``rows @ x = 0`` when the rows have rank
-    ``dim - 1``; None otherwise."""
-    m, pivots = _reduce(rows, dim)
+    ``dim - 1``; None otherwise.  The solution is the one whose first free
+    coordinate is 1."""
+    ints, _ = scaled_integers(rows)
+    m, pivots, d = _reduce(ints, dim)
     if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
     x = [Q(0)] * dim
     x[free] = Q(1)
     for row, col in zip(m, pivots):
-        x[col] = -row[free]
+        x[col] = Q(-row[free], d)
     return tuple(x)
 
 
@@ -123,29 +152,48 @@ def affine_rank(points: Sequence[Vec]) -> int:
     """Dimension of the affine span of a point set (exact)."""
     if not points:
         return -1
-    base = points[0]
-    return len(_reduce([vsub(p, base) for p in points[1:]], len(base))[1])
+    pts, _ = scaled_integers(points)
+    base = pts[0]
+    return len(_reduce([[a - b for a, b in zip(p, base)] for p in pts[1:]], len(base))[1])
 
 
 def parse_rational(value, field: str = "") -> Q:
-    """Parse an exact rational from an int or a 'p/q' string."""
-    from .errors import SchemaError
-
+    """Parse an exact rational from an int or a 'p/q' string whose numerator
+    and denominator have at most ``MAX_DIGITS`` digits each."""
     if isinstance(value, bool):
         raise SchemaError("expected a rational, got a bool", field or None)
     if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
+        q = Q(value)
+    elif isinstance(value, str):
         try:
-            return Q(value)
+            # a short string can hold a huge power of ten, which Fraction
+            # would build in full; past this exponent a nonzero mantissa
+            # gives more than MAX_DIGITS digits anyway
+            exp = _EXPONENT.search(value)
+            q = None if exp and abs(int(exp[1])) > MAX_DIGITS + len(value) else Q(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"cannot parse rational {value!r}: {exc}", field or None)
-    if isinstance(value, float):
+    elif isinstance(value, float):
         raise SchemaError(
             "floats are not exact; write rationals as 'p/q' strings", field or None
         )
-    raise SchemaError(f"expected a rational, got {type(value).__name__}", field or None)
+    else:
+        raise SchemaError(f"expected a rational, got {type(value).__name__}", field or None)
+    if q is None or abs(q.numerator) >= _DIGITS_BOUND or q.denominator >= _DIGITS_BOUND:
+        raise SchemaError(
+            f"numerator or denominator longer than {MAX_DIGITS} digits", field or None
+        )
+    return q
 
 
 def format_rational(value: Q) -> str:
-    return str(Q(value))
+    """'p/q' (or 'p').  A value past Python's 4300-digit limit on printing
+    an integer, which inputs within ``MAX_DIGITS`` can still produce, is a
+    ``SchemaError`` naming the input."""
+    try:
+        return str(Q(value))
+    except ValueError:
+        raise SchemaError(
+            "an exact result has too many digits to print; use inputs with fewer digits",
+            "input",
+        ) from None

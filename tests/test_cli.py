@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from horofano import cli, dh, kernels
 from horofano.cli import COMMANDS, load_problem, main
+from horofano.rationals import MAX_DIGITS
 
 TORIC_M12 = {
     "root_system": {"factors": [], "torus_rank": 1},
@@ -430,6 +431,86 @@ def test_weighted_moments_beyond_float_range_is_solver_error():
         weighted_moments(hp, [0.0, 0.0])
 
 
+# a JSON number literal past Python's 4300-digit limit on parsing an integer
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_oversized_json_number_is_schema_error(tmp_path, capsys, command):
+    # json.dumps cannot write such a literal, so the files are written as text
+    text = json.dumps(TORIC_M12)
+    for i, raw in enumerate([text.replace('"-1"', "-" + LONG_LITERAL),
+                             text.replace('"grid": 801', '"grid": ' + LONG_LITERAL)]):
+        assert raw != text
+        src_path = tmp_path / f"long{i}.json"
+        src_path.write_text(raw, encoding="utf-8")
+        assert main([command, "--input", str(src_path)]) == 2
+        assert "schema error: input: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b'{"levi_subset": [' + b"[" * 100000 + b"]" * 100001 + b"}",
+                                 b'{"levi_subset": "\xff"}'])
+def test_unreadable_json_is_schema_error(tmp_path, capsys, raw):
+    # nesting past the recursion limit, and bytes that are not UTF-8
+    src_path = tmp_path / "bad.json"
+    src_path.write_bytes(raw)
+    assert main(["validate", "--input", str(src_path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: input: invalid JSON")
+
+
+def _box(factors, levi, lower, upper):
+    return {
+        "root_system": {"factors": factors, "torus_rank": 0},
+        "levi_subset": levi,
+        "polytope": {"moment": {"vertices": [
+            [str(c) for c in corner] for corner in itertools.product(*zip(lower, upper))]}},
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "soliton", "ricci-bound"])
+def test_rationals_past_max_digits_are_schema_error(tmp_path, capsys, command):
+    # an A2 box whose upper x end is 10^1500 (no command could print a
+    # result of it), or has one digit past the bound in its numerator or
+    # its denominator; the first vertex holding that end is vertices[4]
+    for value in ("1e1500", str(10**MAX_DIGITS), f"{10**MAX_DIGITS + 1}/{10**MAX_DIGITS}"):
+        spec = _box([["A", 2]], [1], ["1/2", "1/2", "-5/2"], [value, "3/2", "-3/2"])
+        assert main([command, "--input", write(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == (
+            "schema error: polytope.moment.vertices[4][0]: numerator or denominator "
+            f"longer than {MAX_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize("command", ["invariants", "soliton", "ricci-bound"])
+def test_b3_box_at_max_digits_writes_every_report(tmp_path, command):
+    # kappa = (3, 3, 3) +- w_i over one shared denominator q, with every
+    # numerator and denominator of the corners at MAX_DIGITS digits
+    q = 10**MAX_DIGITS // 4 + 1
+    widths = [Q(q // 2 + i, q) for i in range(3)]
+    lower, upper = [3 - w for w in widths], [3 + w for w in widths]
+    assert max(len(str(c.numerator)) for c in lower + upper) == MAX_DIGITS
+    assert len(str(q)) == MAX_DIGITS
+    out = tmp_path / "report.json"
+    assert main([command, "--input", write(tmp_path, _box([["B", 3]], [1, 2], lower, upper)),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["volume"]) > 8 * MAX_DIGITS
+
+
+def test_result_past_the_print_limit_is_schema_error(tmp_path, capsys):
+    # a B3 Levi {1,2} box at the bound whose corners have unrelated
+    # denominators: validate prints only the input, while the exact volume
+    # is too long to print, which is an exit 2, not a traceback
+    dens = [10**(MAX_DIGITS - 2) + 7 + 2 * i for i in range(6)]
+    lower = [Q(2 * n + 1, n) for n in dens[:3]]
+    upper = [Q(4 * n - 1, n) for n in dens[3:]]
+    src_path = write(tmp_path, _box([["B", 3]], [1, 2], lower, upper))
+    assert main(["validate", "--input", src_path]) == 0
+    capsys.readouterr()
+    assert main(["invariants", "--input", src_path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "schema error: input: an exact result has too many digits to print")
+
+
 A2_LEVI = {
     "root_system": {"factors": [["A", 2]], "torus_rank": 0},
     "levi_subset": [1],
@@ -594,7 +675,7 @@ A2_FACET_BOX = {
 }
 
 FUZZ_BASES = (TORIC_M12, B1_HALF_3, REFLECTIVE_SQUARE, A2_FACET_BOX)
-FUZZ_VALUES = ("x", "", "1/0", -1, 0, 10**6, 1.5, True, None, [], {},
+FUZZ_VALUES = ("x", "", "1/0", "-1e5000", -1, 0, 10**6, 1.5, True, None, [], {},
                [["1"], ["1", "2"]], ["1", ["2"]])
 
 

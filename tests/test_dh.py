@@ -33,7 +33,8 @@ UNIT_TRIANGLE = Simplex(vertices=((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))))
 
 def simplex_integral(simplex, affine):
     """The exact integral of a product of affine forms over a simplex."""
-    return dh._simplex_mass_moments(simplex, affine)[0]
+    table = dh._monomial_weights(len(affine), simplex.dim)
+    return dh._simplex_mass_moments(simplex, dh._integer_forms(affine), table)[0]
 
 
 def mc_integral(polytope, forms, n_samples, seed):
@@ -425,6 +426,43 @@ def _per_call_moments(polytope, density, ell, order):
     return dh._neumaier_reduce(parts)
 
 
+def _neumaier_arrays(parts):
+    """The compensated sum in its elementwise array form: the reference for
+    the flat float loop of ``dh._neumaier_reduce``."""
+    r = parts[0][1].shape[0]
+    s0, c0 = 0.0, 0.0
+    s1, c1 = np.zeros(r), np.zeros(r)
+    s2, c2 = np.zeros((r, r)), np.zeros((r, r))
+    for p0, p1, p2 in parts:
+        t0 = s0 + p0
+        c0 += (s0 - t0) + p0 if abs(s0) >= abs(p0) else (p0 - t0) + s0
+        s0 = t0
+        t1 = s1 + p1
+        c1 = c1 + np.where(np.abs(s1) >= np.abs(p1), (s1 - t1) + p1, (p1 - t1) + s1)
+        s1 = t1
+        t2 = s2 + p2
+        c2 = c2 + np.where(np.abs(s2) >= np.abs(p2), (s2 - t2) + p2, (p2 - t2) + s2)
+        s2 = t2
+    return s0 + c0, s1 + c1, s2 + c2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_neumaier_reduce_is_bitwise_the_array_form(rng, r):
+    def draw(shape):
+        # signed magnitudes spread over 1e-8 to 1e8, so cancellation and
+        # both branches of the compensation occur
+        return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    for _ in range(300):
+        parts = [(float(draw(())), draw((r,)), draw((r, r)))
+                 for _ in range(int(rng.integers(1, 13)))]
+        got, want = dh._neumaier_reduce(parts), _neumaier_arrays(parts)
+        assert type(got[0]) is float
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].shape == (r,) and got[2].shape == (r, r)
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+
 def test_moment_table_is_exact_and_never_stale():
     box = from_vertices([(x, y, z) for x in (1, 2) for y in (0, 3) for z in (1, 4)])
     tri = from_vertices([(0, 0), (3, 1), (1, 2)])
@@ -497,11 +535,16 @@ def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
     hp = bare_problem(from_vertices([(-1,), (2,)])) if name == "toric" else _load(tmp_path, name)
     p, dens = hp.moment, hp.density
     calls = _counting(monkeypatch, "_simplex_mass_moments")
-    # each density factor is scaled to integers once per simplex
+    # the density forms are scaled to integers and the monomial weights
+    # tabled once per problem, and each simplex evaluates every factor at
+    # its vertices once
+    scalings = _counting(monkeypatch, "_integer_forms")
+    tables = _counting(monkeypatch, "_monomial_weights")
     factors = _counting(monkeypatch, "_vertex_values")
     vol = dh_volume(hp)
     bar = dh_barycenter(hp)
     assert len(calls) == len(triangulate(p))
+    assert len(scalings) == len(tables) == 1
     assert len(factors) == len(calls) * dens.degree
     assert (vol, bar) == ref.volume_and_barycenter(p.vertices, p.facets, dens.forms)
 

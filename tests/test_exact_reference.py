@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import exact_reference as ref
 from horofano import Simplex, from_halfspaces, from_vertices
-from horofano.dh import _simplex_mass_moments
+from horofano.dh import _integer_forms, _monomial_weights, _simplex_mass_moments
 from horofano.errors import MathValidationError
 
 # small integers, halves and thirds, and denominators up to 10^6
@@ -18,6 +18,13 @@ COORDS = st.one_of(
     st.builds(Q, st.integers(-12, 12), st.sampled_from([2, 3, 4, 6])),
     st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
 )
+
+
+def mass_moments(simplex, affine):
+    """The exact mass and first moments of a product of rational affine
+    forms ``(coeffs, offset)`` over a simplex."""
+    table = _monomial_weights(len(affine), simplex.dim)
+    return _simplex_mass_moments(simplex, _integer_forms(affine), table)
 
 
 def _all_fractions(vectors):
@@ -99,12 +106,12 @@ def simplices_and_forms(draw):
 def test_mass_and_moments_match_the_fraction_route(case):
     verts, forms = case
     simplex = Simplex(vertices=tuple(verts))
-    mass, moments = _simplex_mass_moments(simplex, forms)
+    mass, moments = mass_moments(simplex, forms)
     ref_mass, ref_moments = ref.simplex_mass_moments(verts, forms)
     assert mass == ref_mass and moments == ref_moments
     assert type(mass) is Q and _all_fractions([moments])
     # the empty product: the volume from the integer determinant
-    assert _simplex_mass_moments(simplex, [])[0] == ref.simplex_volume(verts)
+    assert mass_moments(simplex, [])[0] == ref.simplex_volume(verts)
 
 
 def test_forms_vanishing_at_a_vertex_and_everywhere():
@@ -112,7 +119,7 @@ def test_forms_vanishing_at_a_vertex_and_everywhere():
     simplex = Simplex(vertices=tri)
     at_vertex = ((Q(1), Q(-1, 3)), Q(0))  # zero at the vertex (0, 0) only
     forms = [at_vertex, ((Q(1, 2), Q(1)), Q(1, 7))]
-    mass, moments = _simplex_mass_moments(simplex, forms)
+    mass, moments = mass_moments(simplex, forms)
     assert (mass, moments) == ref.simplex_mass_moments(tri, forms) and mass != 0
     zero = ((Q(0), Q(0)), Q(0))
-    assert _simplex_mass_moments(simplex, forms + [zero]) == (Q(0), [Q(0), Q(0)])
+    assert mass_moments(simplex, forms + [zero]) == (Q(0), [Q(0), Q(0)])

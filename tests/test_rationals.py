@@ -1,6 +1,8 @@
 """The exact core against references written here: determinants by cofactor
 expansion, ranks as the size of the largest nonzero minor, solutions by
-substitution, and the integer scalings of rational vectors."""
+substitution, and the integer scalings of rational vectors; and the
+integer elimination against the ``Fraction`` elimination of
+``exact_reference``."""
 
 from fractions import Fraction as Q
 from itertools import combinations
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_reference as ref
 from horofano.errors import MathValidationError
 from horofano.polytopes import _scale_halfspace
 from horofano.rationals import (
@@ -171,3 +174,42 @@ def test_scale_halfspace_keeps_the_halfspace(normal, offset):
 def test_zero_vectors_have_no_normal_form():
     with pytest.raises(MathValidationError, match="zero normal in halfspace"):
         _scale_halfspace((Q(0), Q(0)), Q(1))
+
+
+# rationals with denominators up to 10^30, beside small ones
+WIDE = st.one_of(ENTRIES, st.fractions(min_value=-10**6, max_value=10**6,
+                                       max_denominator=10**30))
+
+
+@st.composite
+def degenerate_points(draw):
+    """Points in dims 1-3, each fresh, a repeat of an earlier one, on the
+    line through two earlier ones or on the plane through three, so
+    rank-deficient sets are common."""
+    dim = draw(st.integers(1, 3))
+    pts = [tuple(draw(st.lists(WIDE, min_size=dim, max_size=dim)))]
+    for _ in range(draw(st.integers(0, 5))):
+        a, b, c = (draw(st.sampled_from(pts)) for _ in range(3))
+        s, t = draw(WIDE), draw(WIDE)
+        pts.append(draw(st.sampled_from([
+            tuple(draw(st.lists(WIDE, min_size=dim, max_size=dim))),
+            a,
+            tuple(x + s * (y - x) for x, y in zip(a, b)),
+            tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c)),
+        ])))
+    return pts
+
+
+@settings(deadline=None, max_examples=200)
+@given(pts=degenerate_points(), rhs=st.lists(WIDE, min_size=3, max_size=3))
+def test_integer_elimination_matches_the_fraction_route(pts, rhs):
+    dim = len(pts[0])
+    assert affine_rank(pts) == ref.rank(pts)
+    x = nullspace_vector(pts, dim)
+    assert x == ref.nullspace(pts, dim)
+    assert x is None or all(type(c) is Q for c in x)
+    if len(pts) >= dim:
+        a, b = pts[:dim], rhs[:dim]
+        x = solve_square(a, b)
+        assert x == ref.solve(a, b)
+        assert x is None or all(type(c) is Q for c in x)
