@@ -42,9 +42,8 @@ CONVENTION = (
 )
 
 COMMANDS = ("validate", "invariants", "soliton", "ricci-bound", "continuity", "all")
+# every option has a command-line flag of the same name that overrides it
 OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(ContinuityOptions))
-# options that a command-line flag of the same name overrides
-FLAG_OPTIONS = ("grid", "t0", "quad_order", "tol")
 # the commands that run the continuity sweep, so the only ones --trace serves
 TRACE_COMMANDS = ("continuity", "all")
 INPUT_KEYS = ("root_system", "levi_subset", "polytope", "lattice_override", "options")
@@ -54,7 +53,6 @@ INPUT_KEYS = ("root_system", "levi_subset", "polytope", "lattice_override", "opt
 class LoadedProblem:
     hp: HorosphericalProblem
     options: ContinuityOptions
-    tol: float
     reflectivity: ReflectivityReport | None
     input_hash: str
 
@@ -189,13 +187,8 @@ def load_problem(path: str, strict: bool = True) -> LoadedProblem:
     hp = problem_from_root_data(rd, pd, moment)
 
     opts = _object(data.get("options", {}), "options", OPTION_NAMES, "option")
-    options = ContinuityOptions(**opts)
-    # soliton solves default to 1e-10; the continuity solver's default stays
-    # at its own 1e-9 (the attainable residual floor at desk grids) unless
-    # the user sets a tolerance explicitly
-    tol = options.tol if "tol" in opts else 1e-10
     return LoadedProblem(
-        hp=hp, options=options, tol=tol, reflectivity=reflectivity,
+        hp=hp, options=ContinuityOptions(**opts), reflectivity=reflectivity,
         input_hash=digest,
     )
 
@@ -316,7 +309,7 @@ def run(command: str, loaded: LoadedProblem, trace_path: str | None = None) -> d
 
     sol = None
     if command in ("soliton", "continuity", "all"):
-        sol = solve_soliton(hp, tol=loaded.tol, order=loaded.options.quad_order)
+        sol = solve_soliton(hp)
         report["xi"] = [float(v) for v in sol.xi]
         report["soliton_residual"] = sol.residual_norm
         report["soliton_iterations"] = sol.iterations
@@ -380,10 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="problem JSON file")
     parser.add_argument("--out", help="write the report JSON here")
     parser.add_argument("--trace", help="write the continuity trace CSV here")
-    parser.add_argument("--tol", type=float, help="solver tolerance override")
+    parser.add_argument("--tol", type=float, help="continuity Newton tolerance override")
     parser.add_argument("--grid", type=int, help="grid points per axis override")
     parser.add_argument("--t0", type=float, help="continuity start parameter override")
-    parser.add_argument("--quad-order", type=int, help="quadrature order override")
     return parser
 
 
@@ -397,11 +389,9 @@ def main(argv=None) -> int:
         _check_writable(args.trace, "--trace")
         loaded = load_problem(args.input, strict=args.command != "validate")
         overrides = {
-            name: getattr(args, name) for name in FLAG_OPTIONS if getattr(args, name) is not None
+            name: getattr(args, name) for name in OPTION_NAMES if getattr(args, name) is not None
         }
         loaded.options = dataclasses.replace(loaded.options, **overrides)
-        if args.tol is not None:
-            loaded.tol = args.tol
         report = run(args.command, loaded, trace_path=args.trace)
         _write_report(report, args.out)
     except SchemaError as exc:

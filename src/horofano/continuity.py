@@ -11,10 +11,11 @@ so the dropped tail mass exp(q_lo L)/(-q_lo) + exp(-q_hi L)/q_hi of exp(-v)
 is below 1e-8 of the density volume V, with a margin for the soliton tilt,
 and extends the potential affinely beyond the box with the end slopes q_lo
 and q_hi (the discrete form of the "support function plus constant"
-boundary condition).  The normalizing constant of the equation is fixed so
-that the mass identity integral exp(-w_t) = V  holds at the continuous level
-for every t and every soliton parameter; the discrete solver inherits it as
-a diagnostic.
+boundary condition).  A box that is not a finite positive float (an
+interval of extent about 1e-200) is a ``SolverError``.  The normalizing
+constant of the equation is fixed so that the mass identity
+integral exp(-w_t) = V  holds at the continuous level for every t and
+every soliton parameter; the discrete solver inherits it as a diagnostic.
 
 The solver is one-dimensional (r = 1; any other r is a ``MathValidationError``
 with condition "dimension"): damped Newton on a tridiagonal system, with
@@ -38,11 +39,6 @@ from .problem import HorosphericalProblem
 from .rationals import vdot
 from .soliton import weighted_mass
 
-
-# quadrature orders a run may ask for: the default start order is the density
-# degree + 20 for r = 1 and degree + 4 for r >= 2, the default top order is
-# degree + 48 (at most 57 for r <= 3), and an explicit start adds at most 28
-QUAD_ORDER_MIN, QUAD_ORDER_MAX = 4, 64
 MAX_NEWTON = 60  # Newton iterations per solve at one t
 # the largest grid a run may ask for, far above the finest grid a study uses
 GRID_MAX = 10**6
@@ -57,33 +53,31 @@ _BOUNDS = {
     "grid": (11, GRID_MAX),
     "t0": (0, 1),
     "tol": (0, TOL_MAX),
-    "quad_order": (QUAD_ORDER_MIN, QUAD_ORDER_MAX),
 }
 
 
 @dataclass(frozen=True)
 class ContinuityOptions:
-    """Grid and tolerances of the continuity solver.
+    """Grid, start and Newton tolerance of the continuity sweep.
 
+    ``tol`` is the sweep's absolute Newton test and nothing else: the soliton
+    field is solved to its own fixed test (``soliton.RESIDUAL_TOL``) and the
+    moment quadrature runs one fixed schedule (``dh.weighted_moments``).
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
-    number (a numeric string included), a fractional count, a grid outside
-    [11, GRID_MAX], t0 outside (0, 1], tol outside (0, TOL_MAX], or a
-    ``quad_order`` outside [QUAD_ORDER_MIN, QUAD_ORDER_MAX], is a
+    number (a numeric string included), a fractional grid, a grid outside
+    [11, GRID_MAX], t0 outside (0, 1] or tol outside (0, TOL_MAX] is a
     ``SchemaError`` naming the option.
     """
 
     grid: int = 2001
     t0: float = 0.1
     tol: float = 1e-9
-    quad_order: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name == "quad_order":
-                continue
-            kind = int if f.name in ("grid", "quad_order") else float
+            kind = int if f.name == "grid" else float
             try:
                 num = kind(value)
                 ok = (not isinstance(value, (bool, str)) and math.isfinite(num)
@@ -165,7 +159,12 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     vol = float(hp.volume)
     # the exp(-support) tail mass stays below 1e-8 * V, with a margin for the
     # soliton tilt exp(-grad * xi) of the density
-    box = (math.log(2.0 / (r_in * (1e-8 * vol))) + 4.0 + abs(xi) * d0) / r_in
+    try:
+        box = (math.log(2.0 / (r_in * (1e-8 * vol))) + 4.0 + abs(xi) * d0) / r_in
+    except (ZeroDivisionError, ValueError):
+        box = math.nan
+    if not (math.isfinite(box) and box > 0.0):
+        raise SolverError(f"truncation box {box!r} is not a finite positive float")
     n = int(options.grid)
     axis = np.linspace(-box, box, n)
     h = axis[1] - axis[0]
@@ -173,7 +172,7 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     if xi == 0.0:
         c_norm = 2.0
     else:
-        c_norm = 2 * weighted_mass(hp, [xi], order=options.quad_order) / vol
+        c_norm = 2 * weighted_mass(hp, [xi]) / vol
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
     # the clamped boundary slope may sit on a wall of the density (exact
@@ -264,12 +263,19 @@ def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray) -> np.ndarray:
     constant of the potential, pinned only through exp(-w)); for a uniform
     shift the grid mass scales by exp(-t a), so the equilibrating shift has
     the closed form a = log(mass/V)/t.  Removing it before Newton keeps the
-    steps short and well inside the admissible region.
+    steps short and well inside the admissible region.  A ratio mass/V
+    that is zero or not finite is a ``SolverError``: the solve fails.
     """
     w = t * u + (1.0 - t) * setup.u0
     wmin = float(np.min(w))
-    mass = setup.h * float(np.sum(np.exp(-(w - wmin)))) * math.exp(-wmin)
-    return u + math.log(mass / setup.volume) / t
+    try:
+        ratio = setup.h * float(np.sum(np.exp(-(w - wmin)))) * math.exp(-wmin) / setup.volume
+    except OverflowError:
+        ratio = math.inf
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise SolverError(f"grid mass / V = {ratio!r} is not a finite positive float",
+                          last_state=u)
+    return u + math.log(ratio) / t
 
 
 def _stencil_1d(setup: ContinuitySetup, u: np.ndarray):

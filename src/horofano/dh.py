@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
-from math import factorial, gcd, prod
+from math import factorial, gcd, isfinite, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -52,8 +52,7 @@ if TYPE_CHECKING:
 
 DEFAULT_QUAD_EXTRA = 20
 DEFAULT_QUAD_REL_TOL = 1e-12
-# how far the top order of ``weighted_moments`` lies above degree +
-# DEFAULT_QUAD_EXTRA by default, or above an explicit start order
+# the top order of ``weighted_moments`` lies this far above degree + DEFAULT_QUAD_EXTRA
 MAX_ORDER_RAISE = 28
 
 
@@ -327,60 +326,52 @@ class MomentData:
         return self._weights[m]
 
 
-def weighted_moments(
-    hp: HorosphericalProblem,
-    ell,
-    order: int | None = None,
-    rel_tol: float = DEFAULT_QUAD_REL_TOL,
-) -> WeightedMoments:
+def _moments_at(hp: HorosphericalProblem, ell: np.ndarray, m: int):
+    """The order-m (I0, I1, I2) of ``weighted_moments``, a compensated sum over simplices."""
+    data = hp.moment_data
+    u, _ = _unit_simplex_nodes(hp.moment.dim, m)
+    parts = []
+    for verts, wd in zip(data.fverts, data.weights(m)):
+        parts.append(kernels.quad_moments(_simplex_points(verts, u), wd, ell))
+    return _neumaier_reduce(parts)
+
+
+def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
     """Exponential-weighted moments of the density measure over the moment
     polytope.
 
     Integrates exp(<ell, p>) * density against 1, p and p (x) p.  The order-m
     result is checked against order m+4, and m is raised by 8 until the
-    relative difference drops below ``rel_tol``, with no order above the top.
-    An explicit ``order`` is the start, with the top ``MAX_ORDER_RAISE``
-    above it.  By default r = 1 starts at the density degree +
-    ``DEFAULT_QUAD_EXTRA`` and r >= 2 at degree + 4, both with the top
-    ``MAX_ORDER_RAISE`` above degree + ``DEFAULT_QUAD_EXTRA``, so the r >= 2
-    schedule ends with the r = 1 pairs.  A 1-D call costs only about 45
-    nodes, and the 1-D continuity outcome can move with the last bits of the
-    soliton field, so r = 1 keeps the higher start.
+    relative difference drops below ``DEFAULT_QUAD_REL_TOL``, with no order
+    above the density degree + ``DEFAULT_QUAD_EXTRA`` + ``MAX_ORDER_RAISE``
+    (degree + 48).  r = 1 starts at degree + ``DEFAULT_QUAD_EXTRA`` and
+    r >= 2 at degree + 4, so the r >= 2 schedule ends with the r = 1 pairs.
+    A 1-D call costs only about 45 nodes, and the 1-D continuity outcome can
+    move with the last bits of the soliton field, so r = 1 keeps the higher
+    start.  Moments beyond the float range are a ``QuadratureError`` that
+    says so.
     """
-    data = hp.moment_data
     r = hp.moment.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
     if ell.shape != (r,):
         raise MathValidationError("exponent vector has wrong dimension")
-    if order is None:
-        start = hp.density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
-        top = hp.density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
-    else:
-        start = max(4, int(order))
-        top = start + MAX_ORDER_RAISE
-
-    def summed(n):
-        """Compensated sum of the order-n moments over the simplices."""
-        u, _ = _unit_simplex_nodes(r, n)
-        parts = []
-        for verts, wd in zip(data.fverts, data.weights(n)):
-            parts.append(kernels.quad_moments(_simplex_points(verts, u), wd, ell))
-        return _neumaier_reduce(parts)
-
+    start = hp.density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
+    top = hp.density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
     last_err = float("inf")
     for m in range(start, top - 3, 8):
-        lo, hi = summed(m), summed(m + 4)
+        lo, hi = _moments_at(hp, ell, m), _moments_at(hp, ell, m + 4)
         scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
         last_err = max(
             abs(hi[0] - lo[0]),
             float(np.max(np.abs(hi[1] - lo[1]), initial=0.0)),
             float(np.max(np.abs(hi[2] - lo[2]), initial=0.0)),
         ) / scale
-        if last_err <= rel_tol:
+        if last_err <= DEFAULT_QUAD_REL_TOL:
             return WeightedMoments(
                 i0=float(hi[0]), i1=hi[1], i2=hi[2], rel_error=last_err, order=m + 4
             )
-    raise QuadratureError(
-        f"quadrature error estimate {last_err:.3e} above tolerance {rel_tol:.3e}",
-        estimate=last_err,
-    )
+    if isfinite(last_err):
+        why = f"error estimate {last_err:.3e} above tolerance {DEFAULT_QUAD_REL_TOL:.3e}"
+    else:
+        why = f"moments beyond the float range (error estimate {last_err})"
+    raise QuadratureError(f"quadrature {why}", estimate=last_err)

@@ -20,20 +20,22 @@ from .rationals import Vec, vsub
 
 ARMIJO_C = 1e-4
 MAX_ITER = 100
+# the Newton test |F(xi)| <= RESIDUAL_TOL * V, where V is the density volume
+RESIDUAL_TOL = 1e-10
 
 
-def _moments_shifted(hp: HorosphericalProblem, xi: np.ndarray, **quad):
+def _moments_shifted(hp: HorosphericalProblem, xi: np.ndarray):
     """I0, I1, I2 of exp(-2<p-kappa, xi>) dmu, as floats."""
     kappa = np.array([float(c) for c in hp.kappa])
-    mom = weighted_moments(hp, -2.0 * xi, **quad)
+    mom = weighted_moments(hp, -2.0 * xi)
     scale = float(np.exp(2.0 * kappa @ xi))
     return scale * mom.i0, scale * mom.i1, scale * mom.i2
 
 
-def weighted_mass(hp: HorosphericalProblem, xi, **quad) -> float:
+def weighted_mass(hp: HorosphericalProblem, xi) -> float:
     """G(xi): the total density mass reweighted by exp(-2<p-kappa, xi>)."""
     xi = np.asarray(xi, dtype=np.float64)
-    i0, _, _ = _moments_shifted(hp, xi, **quad)
+    i0, _, _ = _moments_shifted(hp, xi)
     return i0
 
 
@@ -45,28 +47,32 @@ class SolitonSolution:
     hessian_min_eig: float
 
 
-def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> SolitonSolution:
-    """Damped Newton on G from xi = 0 until |F(xi)| <= tol * volume."""
+def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
+    """Damped Newton on G from xi = 0 until |F(xi)| <= RESIDUAL_TOL * volume,
+    in at most MAX_ITER steps."""
     r = hp.a1_dim
     kappa = np.array([float(c) for c in hp.kappa])
     try:
         vol = float(hp.volume)
     except OverflowError:
         raise SolverError("density volume beyond the float range") from None
+    bound = RESIDUAL_TOL * vol
     xi = np.zeros(r)
-    moments = _moments_shifted(hp, xi, **quad)
-    for it in range(MAX_ITER):
+    moments = _moments_shifted(hp, xi)
+    for it in range(MAX_ITER + 1):
         g, i1, i2 = moments
         f = i1 - kappa * g
         hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
         resid = float(np.linalg.norm(f))
-        if resid <= tol * vol:
+        if resid <= bound:
             return SolitonSolution(
                 xi=xi,
                 residual_norm=resid,
                 iterations=it,
                 hessian_min_eig=float(np.linalg.eigvalsh(hess)[0]),
             )
+        if it == MAX_ITER:
+            break
         step = np.linalg.solve(hess, 2.0 * f)
         slope = -2.0 * float(f @ step)  # directional derivative of G
         # the allowance keeps the test meaningful once the predicted decrease
@@ -76,7 +82,7 @@ def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> Solit
         for _ in range(60):
             trial = xi + lam * step
             # the accepted trial's moments are the next iterate's
-            moments = _moments_shifted(hp, trial, **quad)
+            moments = _moments_shifted(hp, trial)
             if moments[0] <= g + ARMIJO_C * lam * slope + allowance:
                 break
             lam *= 0.5
@@ -84,8 +90,8 @@ def solve_soliton(hp: HorosphericalProblem, tol: float = 1e-10, **quad) -> Solit
             raise SolverError("line search failed in soliton Newton", last_state=xi)
         xi = trial
     raise SolverError(
-        f"soliton Newton did not reach |F| <= {tol:g}*V in {MAX_ITER} iterations "
-        "(is kappa interior to the moment polytope?)",
+        f"soliton Newton stopped at |F| = {resid:.3e} after {MAX_ITER} iterations, "
+        f"above the bound {RESIDUAL_TOL:g}*V = {bound:.3e}",
         last_state=xi,
     )
 

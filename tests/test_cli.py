@@ -263,7 +263,7 @@ def test_report_determinism_two_runs(tmp_path):
 
 
 # option names retired into module constants: each is an unknown option
-RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_tol")
+RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_tol", "quad_order")
 
 
 @pytest.mark.parametrize("options,flags,name", [
@@ -284,11 +284,13 @@ RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_t
     ({}, ["--t0", "1.5"], "t0"),
     ({}, ["--tol", "-1"], "tol"),
     ({}, ["--box", "nan"], "box"),
-    ({"quad_order": 3}, [], "quad_order"),
-    ({"quad_order": 65}, [], "quad_order"),
-    ({"quad_order": 1000000}, [], "quad_order"),
-    ({}, ["--quad-order", "0"], "quad_order"),
-    ({}, ["--quad-order", "100"], "quad_order"),
+    # quad_order is retired whatever its value, its former range [4, 64]
+    # included, and so is its flag
+    ({"quad_order": 10}, [], "quad_order"),
+    ({"quad_order": 4}, [], "quad_order"),
+    ({"quad_order": 64}, [], "quad_order"),
+    ({}, ["--quad-order", "10"], "quad_order"),
+    ({}, ["--quad-order", "64"], "quad_order"),
     # a number in a JSON string is not a number
     ({"grid": "401"}, [], "grid"),
     ({"tol": "1e-9"}, [], "tol"),
@@ -310,12 +312,12 @@ def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
     spec = dict(TORIC_M12)
     spec["options"] = dict(TORIC_M12["options"], **options)
     argv = ["continuity", "--input", write(tmp_path, spec), *flags]
-    if "--box" in flags:
+    if flags and flags[0] in ("--box", "--quad-order"):
         # no such flag: argparse exits 2 before any input is read
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --box" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
         return
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -326,15 +328,29 @@ def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
         assert err.count("\n") == 1
 
 
-def test_four_options_each_with_its_flag():
-    assert sorted(cli.OPTION_NAMES) == sorted(cli.FLAG_OPTIONS) == [
-        "grid", "quad_order", "t0", "tol"
-    ]
+def test_three_options_each_with_its_flag():
+    assert sorted(cli.OPTION_NAMES) == ["grid", "t0", "tol"]
     args = cli.build_parser().parse_args(
-        ["all", "--input", "p.json", "--grid", "11", "--t0", "1", "--tol", "1e-7",
-         "--quad-order", "4"]
+        ["all", "--input", "p.json", "--grid", "11", "--t0", "1", "--tol", "1e-7"]
     )
-    assert [getattr(args, name) for name in cli.FLAG_OPTIONS] == [11, 1.0, 4, 1e-7]
+    assert [getattr(args, name) for name in ("grid", "t0", "tol")] == [11, 1.0, 1e-7]
+
+
+def _soliton_report(tmp_path, command, flags):
+    out = tmp_path / f"{command}{len(flags)}.json"
+    assert main([command, "--input", write(tmp_path, TORIC_M12), "--out", str(out),
+                 *flags]) == 0
+    report = json.loads(out.read_text())
+    return [report[key] for key in ("xi", "soliton_residual", "soliton_iterations")]
+
+
+def test_tol_tunes_only_the_sweep(tmp_path):
+    # the soliton is solved to its own fixed test whatever tol says: an
+    # explicit tol leaves xi, its residual and its iterations alone, and a
+    # tol far below the soliton's attainable residual still solves it
+    default = _soliton_report(tmp_path, "all", [])
+    assert _soliton_report(tmp_path, "all", ["--tol", "1e-7"]) == default
+    assert _soliton_report(tmp_path, "soliton", ["--tol", "1e-18"]) == default
 
 
 def test_cli_import_loads_no_scipy():
@@ -381,11 +397,42 @@ def test_levi_subset_round_trip(tmp_path):
     assert len(loaded.hp.density.forms) == 1
 
 
-def test_solver_failure_maps_to_exit_4(tmp_path):
-    spec = dict(TORIC_M12)
-    src_path = write(tmp_path, spec)
-    # an unreachable tolerance forces the soliton Newton to give up
-    assert main(["soliton", "--input", src_path, "--tol", "1e-30"]) == 4
+def test_solver_failure_maps_to_exit_4(tmp_path, monkeypatch, capsys):
+    from horofano import soliton
+
+    # one Newton step is too few for toric [-1, 2] (it takes five): the
+    # message gives the residual reached and the bound it missed
+    monkeypatch.setattr(soliton, "MAX_ITER", 1)
+    assert main(["soliton", "--input", write(tmp_path, TORIC_M12)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: soliton Newton stopped at |F| = ")
+    assert "after 1 iterations, above the bound 1e-10*V = 3.000e-10" in err
+    assert "kappa" not in err
+
+
+@pytest.mark.parametrize("command", ["soliton", "all"])
+def test_moments_beyond_float_range_say_so(tmp_path, command):
+    # the interval itself is a float, but its weighted moments overflow (a
+    # subprocess, as the overflow warnings are errors under pytest)
+    spec = dict(TORIC_M12, polytope={"moment": {"vertices": [["-1"], ["1e300"]]}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "horofano.cli", command, "--input", write(tmp_path, spec)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "solver error: quadrature moments beyond the float range" in proc.stderr
+    assert "tolerance" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["all", "continuity"])
+@pytest.mark.parametrize("lo, hi", [("-1e-200", "3e-200"), ("-1e-150", "1e-150")])
+def test_interval_of_tiny_extent_is_no_crash(tmp_path, capsys, command, lo, hi):
+    # the truncation box or the grid mass leaves the float range: a solver
+    # error (exit 4) or a failed sweep (exit 0), never a traceback
+    spec = dict(TORIC_M12, polytope={"moment": {"vertices": [[lo], [hi]]}})
+    assert main([command, "--input", write(tmp_path, spec)]) in (0, 4)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 BEYOND_FLOAT = {
@@ -598,12 +645,15 @@ P2 = {
 }
 
 
-def test_continuity_two_dimensional_is_validation_error(tmp_path, capsys):
-    # default options (grid 2001): rejected before any grid is built; at
-    # --tol 1e-30 the soliton would fail (exit 4), so the dimension is
-    # rejected before the soliton solve too
-    for spec, flags in [(P2, []), (P2, ["--tol", "1e-30"]), (A2_LEVI, ["--tol", "1e-30"])]:
-        assert main(["continuity", "--input", write(tmp_path, spec), *flags]) == 3
+def test_continuity_two_dimensional_is_validation_error(tmp_path, capsys, monkeypatch):
+    # default options (grid 2001): rejected before any grid is built, and
+    # before the soliton solve, which would raise here
+    def no_soliton(hp):
+        raise AssertionError("the soliton was solved")
+
+    monkeypatch.setattr(cli, "solve_soliton", no_soliton)
+    for spec in (P2, A2_LEVI):
+        assert main(["continuity", "--input", write(tmp_path, spec)]) == 3
         err = capsys.readouterr().err
         assert "continuity solver supports r = 1 only" in err
         assert "Traceback" not in err

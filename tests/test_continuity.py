@@ -594,8 +594,3 @@ def test_two_dimensional_problem_rejected():
             call()
         assert info.value.condition == "dimension"
 
-
-def test_quad_order_range_ends_accepted():
-    # the ends of [4, 64] are valid; values outside are rejected (test_cli)
-    for order in (4, 64):
-        assert ContinuityOptions(quad_order=order).quad_order == order

@@ -171,10 +171,11 @@ def test_weighted_moments_polynomial_degree_exactness():
     assert abs(m.i2[0, 0] - float(exact_i2_xx)) < 1e-13
 
 
-def test_weighted_moments_tolerance_error():
+def test_weighted_moments_tolerance_error(monkeypatch):
+    monkeypatch.setattr(dh, "DEFAULT_QUAD_REL_TOL", 1e-30)
     p01 = from_vertices([(0,), (1,)])
     with pytest.raises(QuadratureError) as err:
-        weighted_moments(bare_problem(p01), [1.0], order=4, rel_tol=1e-30)
+        weighted_moments(bare_problem(p01), [1.0])
     assert err.value.estimate > 0
 
 
@@ -557,9 +558,9 @@ def test_soliton_evaluates_each_field_once(tmp_path, monkeypatch, name):
     ells = []
     fn = soliton.weighted_moments
 
-    def recording(hp, ell, **quad):
+    def recording(hp, ell):
         ells.append(np.asarray(ell, dtype=np.float64).tobytes())
-        return fn(hp, ell, **quad)
+        return fn(hp, ell)
 
     monkeypatch.setattr(soliton, "weighted_moments", recording)
     sol = soliton.solve_soliton(hp)
@@ -573,10 +574,12 @@ def test_soliton_evaluates_each_field_once(tmp_path, monkeypatch, name):
 
 
 def test_second_call_at_a_seen_order_builds_no_weights(tmp_path, monkeypatch):
+    # the default schedule's first pair, orders 10 and 14, passes at both
+    # exponents
     hp = _load(tmp_path, "b3-levi12")
-    weighted_moments(hp, [0.3, -0.2, 0.1], order=10, rel_tol=1.0)
+    weighted_moments(hp, [0.3, -0.2, 0.1])
     nodes = _counting(monkeypatch, "_simplex_nodes")
-    m = weighted_moments(hp, [-0.1, 0.2, 0.05], order=10, rel_tol=1.0)
+    m = weighted_moments(hp, [-0.1, 0.2, 0.05])
     assert m.order == 14 and nodes == []
 
 
@@ -639,9 +642,8 @@ def test_default_order_matches_order_48(tmp_path, name):
     for xi in (np.zeros(hp.a1_dim), solve_soliton(hp).xi):
         ell = -2.0 * xi
         m = weighted_moments(hp, ell)
-        ref48 = weighted_moments(hp, ell, order=44, rel_tol=1.0)
-        assert ref48.order == 48
-        for got, want in ((m.i0, ref48.i0), (m.i1, ref48.i1), (m.i2, ref48.i2)):
+        ref48 = dh._moments_at(hp, ell, 48)
+        for got, want in zip((m.i0, m.i1, m.i2), ref48):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         extra.append(m.order - hp.density.degree)
     # r >= 2 starts at degree + 4 and its first pair passes, except on the A1
@@ -671,9 +673,10 @@ LAST_PAIR_ESTIMATES = {
 
 
 @pytest.mark.parametrize("name, tilted", sorted(LAST_PAIR_ESTIMATES))
-def test_unreachable_tolerance_reports_the_last_pair(tmp_path, name, tilted):
+def test_unreachable_tolerance_reports_the_last_pair(tmp_path, monkeypatch, name, tilted):
+    monkeypatch.setattr(dh, "DEFAULT_QUAD_REL_TOL", 1e-30)
     hp = _load(tmp_path, name)
     ell = [0.3, -0.2, 0.1][:hp.a1_dim] if tilted else [0.0] * hp.a1_dim
     with pytest.raises(QuadratureError) as err:
-        weighted_moments(hp, ell, rel_tol=1e-30)
+        weighted_moments(hp, ell)
     assert err.value.estimate == LAST_PAIR_ESTIMATES[name, tilted]

@@ -22,7 +22,7 @@ import pytest
 
 from horofano.cli import load_problem, main
 from horofano.continuity import build_setup
-from horofano.soliton import solve_soliton
+from horofano.soliton import RESIDUAL_TOL, solve_soliton
 
 SQUARE = [["-1", "-1"], ["1", "-1"], ["-1", "1"], ["1", "1"]]
 
@@ -179,11 +179,11 @@ def test_soliton_field_of_boxes(tmp_path, name):
     src = tmp_path / f"{name}.json"
     src.write_text(json.dumps(INPUTS[name], sort_keys=True), encoding="utf-8")
     loaded = load_problem(str(src))
-    sol = solve_soliton(loaded.hp, tol=loaded.tol, order=loaded.options.quad_order)
+    sol = solve_soliton(loaded.hp)
     xi, iterations = SOLITON[name]
     assert sol.iterations == iterations
     assert np.linalg.norm(sol.xi - xi) <= 1e-11 * np.linalg.norm(xi)
-    assert sol.residual_norm <= loaded.tol * float(loaded.hp.volume)
+    assert sol.residual_norm <= RESIDUAL_TOL * float(loaded.hp.volume)
 
 
 # 1-D inputs whose ``continuity`` and ``all`` runs sweep at grid 401
@@ -305,7 +305,7 @@ def test_sweep_run_bytes_pinned(tmp_path, monkeypatch, capsys, name, command):
 @pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
 def test_reference_potential_bytes_pinned(tmp_path, name):
     loaded = load_problem(str(_sweep_input(tmp_path, name)))
-    xi = solve_soliton(loaded.hp, tol=loaded.tol, order=loaded.options.quad_order).xi
+    xi = solve_soliton(loaded.hp).xi
     u0 = build_setup(loaded.hp, xi, loaded.options).u0
     assert hashlib.sha256(u0.tobytes()).hexdigest() == U0_DIGESTS[name]
 
