@@ -137,8 +137,6 @@ class ContinuitySetup:
     qhi: float
     conv_floor: float
     term_floor: float
-    closed_l: bool
-    closed_r: bool
 
 
 def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> ContinuitySetup:
@@ -153,8 +151,7 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
     # the gradient interval [q_lo, q_hi] = 2 (kappa - P); kappa is interior
     # to P, so q_lo < 0 < q_hi
     delta = delta_from_moment(hp.moment, hp.kappa)
-    q_lo, q_hi = 2 * delta.vertices[0][0], 2 * delta.vertices[-1][0]
-    qlo, qhi = float(q_lo), float(q_hi)
+    qlo, qhi = float(2 * delta.vertices[0][0]), float(2 * delta.vertices[-1][0])
     r_in, d0 = min(qhi, -qlo), max(qhi, -qlo)
     vol = float(hp.volume)
     # the exp(-support) tail mass stays below 1e-8 * V, with a margin for the
@@ -175,11 +172,6 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         c_norm = 2 * weighted_mass(hp, [xi]) / vol
     bcoef = np.array([float(f[0]) for f in hp.density.forms])
     boff = np.array([float(vdot(f, hp.kappa)) for f in hp.density.forms])
-    # the clamped boundary slope may sit on a wall of the density (exact
-    # rational test); the node equation degenerates there and is replaced
-    # by the affine-extension closure
-    closed_l = any(vdot(f, hp.kappa) - f[0] * q_lo / 2 == 0 for f in hp.density.forms)
-    closed_r = any(vdot(f, hp.kappa) - f[0] * q_hi / 2 == 0 for f in hp.density.forms)
     # admissibility floors above the curvature noise the Newton solves induce
     # on machine-affine tails (observed ~50x the pure representation noise)
     uscale = max(1.0, d0 * box)
@@ -202,8 +194,6 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
         qhi=qhi,
         conv_floor=4096.0 * eps * uscale / h**2,
         term_floor=4096.0 * eps * uscale / h * float(max((abs(b) for b in bcoef), default=0.0)),
-        closed_l=closed_l,
-        closed_r=closed_r,
     )
 
 
@@ -310,15 +300,11 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
         # every line-search trial evaluates the residual; the Jacobian bands and
         # the admissibility flag are built only for the iterates it accepts
         def residual(vec):
-            return kernels.residual_1d(
-                vec, setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
-                setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
-            )
+            return kernels.residual_1d(vec, setup.u0, setup.h, t, setup.xi, setup.bcoef,
+                                       setup.boff, setup.qlo, setup.qhi, setup.invc)
 
         def jacobian(parts):
-            return kernels.jacobian_1d(
-                parts, setup.h, t, setup.xi, setup.bcoef, setup.invc, setup.closed_l, setup.closed_r
-            )
+            return kernels.jacobian_1d(parts, setup.h, t, setup.xi, setup.bcoef, setup.invc)
 
         def admissible(parts, extra=0.0):
             return bool(np.all(kernels.admissible_1d(

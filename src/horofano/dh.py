@@ -358,18 +358,21 @@ def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
     start = hp.density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
     top = hp.density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
     last_err = float("inf")
-    for m in range(start, top - 3, 8):
-        lo, hi = _moments_at(hp, ell, m), _moments_at(hp, ell, m + 4)
-        scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
-        last_err = max(
-            abs(hi[0] - lo[0]),
-            float(np.max(np.abs(hi[1] - lo[1]), initial=0.0)),
-            float(np.max(np.abs(hi[2] - lo[2]), initial=0.0)),
-        ) / scale
-        if last_err <= DEFAULT_QUAD_REL_TOL:
-            return WeightedMoments(
-                i0=float(hi[0]), i1=hi[1], i2=hi[2], rel_error=last_err, order=m + 4
-            )
+    # moments beyond the float range overflow to inf and nan, which the
+    # error estimate turns into the QuadratureError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(start, top - 3, 8):
+            lo, hi = _moments_at(hp, ell, m), _moments_at(hp, ell, m + 4)
+            scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
+            last_err = max(
+                abs(hi[0] - lo[0]),
+                float(np.max(np.abs(hi[1] - lo[1]), initial=0.0)),
+                float(np.max(np.abs(hi[2] - lo[2]), initial=0.0)),
+            ) / scale
+            if last_err <= DEFAULT_QUAD_REL_TOL:
+                return WeightedMoments(
+                    i0=float(hi[0]), i1=hi[1], i2=hi[2], rel_error=last_err, order=m + 4
+                )
     if isfinite(last_err):
         why = f"error estimate {last_err:.3e} above tolerance {DEFAULT_QUAD_REL_TOL:.3e}"
     else:

@@ -59,9 +59,10 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
     Returns (uext, second, grad, terms): ``u`` as float64 with one ghost
     node on each side, extending it affinely with the extreme slopes
     ``qlo`` / ``qhi`` of the gradient polytope (the truncation boundary
-    condition); the second difference and the centred gradient at every
-    node; and the density factors boff - grad * bcoef / 2, one column per
-    form (an (n, 0) array without forms).
+    condition, the only one, also where a density form vanishes at such a
+    slope); the second difference and the centred gradient at every node;
+    and the density factors boff - grad * bcoef / 2, one column per form
+    (an (n, 0) array without forms).
 
     ``uext`` is one fresh buffer and the differences are formed in place,
     in the operation order of (uext[2:] - 2u + uext[:-2]) / h^2 and
@@ -88,7 +89,7 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
     return uext, second, grad, terms
 
 
-def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False, closed_r=False):
+def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc):
     """Residual of the normalized discrete 1-D equation,
     F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi), on the stencil
     ``stencil_1d``, with w = t u + (1 - t) u0.
@@ -139,16 +140,10 @@ def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False, cl
         np.exp(rhs, out=rhs)
         f = np.multiply(curv, invc)
         f -= rhs
-    if closed_l:
-        # density vanishes structurally at the clamped boundary slope: the
-        # node equation degenerates, so impose the affine-extension closure
-        f[0] = second[0]
-    if closed_r:
-        f[-1] = second[-1]
     return f, (second, terms, dens, rhs)
 
 
-def jacobian_1d(parts, h, t, xi, bcoef, invc, closed_l=False, closed_r=False):
+def jacobian_1d(parts, h, t, xi, bcoef, invc):
     """Tridiagonal Jacobian (lower, diag, upper) of ``residual_1d`` at the
     iterate whose ``parts`` it returned; Newton builds it only for the
     iterates its line search accepts."""
@@ -176,13 +171,6 @@ def jacobian_1d(parts, h, t, xi, bcoef, invc, closed_l=False, closed_r=False):
     upper[:-1] = cp[:-1]
     diag[0] += cm[0]
     diag[-1] += cp[-1]
-    inv_h2 = 1.0 / (h * h)
-    if closed_l:
-        diag[0] = -inv_h2
-        upper[0] = inv_h2
-    if closed_r:
-        diag[n - 1] = -inv_h2
-        lower[n - 1] = inv_h2
     return lower, diag, upper
 
 

@@ -53,7 +53,7 @@ def residual_and_mask(setup, u, t):
     beyond the rounding floors)."""
     f, (second, terms, _, _) = kernels.residual_1d(
         u, setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
-        setup.qhi, setup.invc, setup.closed_l, setup.closed_r,
+        setup.qhi, setup.invc,
     )
     return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
 
@@ -156,7 +156,8 @@ def _scan_tool():
 
 def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
     # the tool scans the fixture's intervals in the fixture's order, toric
-    # (no density form) first; its line for one input is recorded
+    # (no density form) first; its lines for one input are recorded, the
+    # zero-field one with its bracket [0.66634, 0.66649] below R = 2/3
     tool = _scan_tool()
     inputs = list(tool.scan_inputs())
     assert len(inputs) == len(scan_1d)
@@ -168,6 +169,9 @@ def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
     assert tool.run_one("toric[-1,2]", dict(inputs)["toric[-1,2]"], "all") == (
         "toric[-1,2] all reached_t1 12 5a966acf50786841 7a7f322f707b70b5 "
         "54764910919262e1 e3b0c44298fc1c14 5feceb66ffc86f38"
+    )
+    assert tool.zero_field_one("toric[-1,2]", dict(inputs)["toric[-1,2]"]) == (
+        "toric[-1,2] zero-field divergence 14 0.6664131924768069 no c2827b4b1dea875e"
     )
 
 
@@ -315,13 +319,26 @@ def test_accepted_states_count_their_newton_iterations(zero_field_401, toric_m12
     assert end.t == 1.0 and end.newton_iterations >= 1
 
 
-def test_t0_one_on_a_density_wall_fails_without_warnings():
-    # the gauge-deflated first solve rejects line-search trials whose
-    # residual overflowed, and so whose gauge split is NaN, without a
-    # warning (the test run turns warnings into errors)
-    hp = _b1(0, Q(5, 4))
-    trace = continuity_sweep(hp, solve_soliton(hp).xi, ContinuityOptions(t0=1.0))
-    assert trace.termination == "newton_failure"
+@pytest.mark.parametrize("grid", [201, 2001])
+@pytest.mark.parametrize("soliton", [False, True], ids=["0", "xi"])
+@pytest.mark.parametrize("t0", [None, 1.0], ids=["t0", "t0=1"])
+@pytest.mark.parametrize("wall", [
+    lambda: _b1(0, Q(5, 4)),
+    lambda: _b1(0, 4),
+    # two forms on [0, 3], both vanishing at the moment vertex 0
+    lambda: synthetic_problem(from_vertices([(0,), (3,)]), kappa=(1,), forms=[(1,), (2,)]),
+], ids=["B1[0,5/4]", "B1[0,4]", "two-forms"])
+def test_t0_one_on_a_density_wall_fails_without_warnings(wall, t0, soliton, grid):
+    # a polytope touching a density wall ends at its first solve, with zero
+    # field and with the soliton field; the gauge-deflated first solve at
+    # t0 = 1 rejects line-search trials whose residual overflowed, and so
+    # whose gauge split is NaN, without a warning (the test run turns
+    # warnings into errors)
+    hp = wall()
+    xi = solve_soliton(hp).xi if soliton else [0.0]
+    options = ContinuityOptions(grid=grid) if t0 is None else ContinuityOptions(grid=grid, t0=t0)
+    trace = continuity_sweep(hp, xi, options)
+    assert trace.termination == "newton_failure" and not trace.states
 
 
 def test_sweep_symmetric_reaches_one():
@@ -561,13 +578,6 @@ def test_sweep_density_zero_field_matches_exact_bound():
     assert trace.termination == "divergence"
     estimate, _ = estimate_rm_numeric(trace)
     assert abs(estimate - exact) < 0.05
-
-
-def test_wall_touching_boundary_closure_rows():
-    # moment polytope touching the density wall: the clamped boundary slope
-    # sits where the density vanishes and the closure row takes over
-    setup = build_setup(_b1(0, 3), [0.0], OPTS_FAST)
-    assert setup.closed_r and not setup.closed_l
 
 
 def test_gauge_defect_scales_like_h2(toric_m12, toric_m12_soliton):

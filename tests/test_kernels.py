@@ -68,8 +68,7 @@ def seed_stencil_1d(u, h, qlo, qhi, bcoef, boff):
     return uext, second, grad, terms
 
 
-def seed_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=False,
-                     closed_r=False):
+def seed_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc):
     """The residual body before the lean rewrite, verbatim on
     ``seed_stencil_1d``; also returns the centred gradient it computed."""
     u = np.ascontiguousarray(u, dtype=np.float64)
@@ -90,17 +89,11 @@ def seed_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc, closed_l=Fals
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.exp(-w - grad * xi)
         f = curv * invc - rhs
-    if closed_l:
-        # density vanishes structurally at the clamped boundary slope: the
-        # node equation degenerates, so impose the affine-extension closure
-        f[0] = second[0]
-    if closed_r:
-        f[-1] = second[-1]
     return f, (second, terms, dens, rhs), grad
 
 
 def combined_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
-                         conv_floor, term_floor, closed_l, closed_r):
+                         conv_floor, term_floor):
     """The single-call kernel the split replaced: residual, Jacobian bands
     and admissibility flag of every trial, kept verbatim as the reference
     the split must reproduce bit for bit."""
@@ -129,24 +122,14 @@ def combined_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
     upper[:-1] = cp[:-1]
     diag[0] += cm[0]
     diag[-1] += cp[-1]
-    inv_h2 = 1.0 / (h * h)
-    if closed_l:
-        f[0] = second[0]
-        diag[0] = -inv_h2
-        upper[0] = inv_h2
-    if closed_r:
-        f[n - 1] = second[n - 1]
-        diag[n - 1] = -inv_h2
-        lower[n - 1] = inv_h2
     return f, lower, diag, upper, ok
 
 
 def split_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
-                      conv_floor, term_floor, closed_l, closed_r):
+                      conv_floor, term_floor):
     """The split kernels composed into the same (f, lower, diag, upper, ok)."""
-    f, parts = kernels.residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
-                                   closed_l, closed_r)
-    bands = kernels.jacobian_1d(parts, h, t, xi, bcoef, invc, closed_l, closed_r)
+    f, parts = kernels.residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc)
+    bands = kernels.jacobian_1d(parts, h, t, xi, bcoef, invc)
     ok = bool(np.all(kernels.admissible_1d(parts[0], parts[1], conv_floor, term_floor)))
     return (f, *bands, ok)
 
@@ -156,7 +139,7 @@ def test_residual_backends_agree():
     bcoef, boff = FORMS[1]
     t, xi, invc = 0.6, 0.2, 0.8
     f, _, _, _, ok = split_residual_1d(U, U0, H, t, xi, bcoef, boff, QLO, QHI, invc,
-                                       1e-9, 1e-9, False, True)
+                                       1e-9, 1e-9)
     n = U.shape[0]
     admissible = True
     for i in range(n):
@@ -165,21 +148,23 @@ def test_residual_backends_agree():
         second = (up - 2 * U[i] + um) / H**2
         grad = (up - um) / (2 * H)
         admissible &= second >= -1e-9 and boff[0] - 0.5 * grad * bcoef[0] >= -1e-9
-        expected = second if i == n - 1 else (
-            second * (boff[0] - 0.5 * grad * bcoef[0]) * invc
-            - np.exp(-(t * U[i] + (1 - t) * U0[i]) - grad * xi)
-        )
+        expected = (second * (boff[0] - 0.5 * grad * bcoef[0]) * invc
+                    - np.exp(-(t * U[i] + (1 - t) * U0[i]) - grad * xi))
         assert abs(f[i] - expected) <= 1e-12 * max(1.0, abs(expected))
     assert ok == admissible
 
 
-@pytest.mark.parametrize("nforms", [0, 1, 2])
-@pytest.mark.parametrize("closed_l,closed_r", [(False, False), (True, False), (False, True)])
-def test_residual_jacobian_matches_finite_differences(nforms, closed_l, closed_r):
+# the ids keep the names these cases had while the kernels took two
+# density-wall flags, both False here
+NFORMS_IDS = ["False-False-0", "False-False-1", "False-False-2"]
+
+
+@pytest.mark.parametrize("nforms", [0, 1, 2], ids=NFORMS_IDS)
+def test_residual_jacobian_matches_finite_differences(nforms):
     bcoef, boff = FORMS[nforms]
-    args = (U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8, closed_l, closed_r)
+    args = (U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8)
     _, parts = kernels.residual_1d(U, *args)
-    lower, diag, upper = kernels.jacobian_1d(parts, H, 0.6, 0.2, bcoef, 0.8, closed_l, closed_r)
+    lower, diag, upper = kernels.jacobian_1d(parts, H, 0.6, 0.2, bcoef, 0.8)
     jac = dense(lower, diag, upper)
     eps = 1e-6
     fd = np.empty_like(jac)
@@ -191,11 +176,10 @@ def test_residual_jacobian_matches_finite_differences(nforms, closed_l, closed_r
     assert np.max(np.abs(fd - jac)) <= 1e-7 * np.max(np.abs(jac))
 
 
-@pytest.mark.parametrize("nforms", [0, 1, 2])
-@pytest.mark.parametrize("closed_l,closed_r", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("nforms", [0, 1, 2], ids=NFORMS_IDS)
 @pytest.mark.parametrize("xi", [0.0, 0.2])
 @pytest.mark.parametrize("scale", [1.0, 1e3, -1e3])
-def test_split_kernels_match_the_combined_kernel_bitwise(nforms, closed_l, closed_r, xi, scale):
+def test_split_kernels_match_the_combined_kernel_bitwise(nforms, xi, scale):
     # scale -1e3 is a far-off line-search trial whose exponential overflows:
     # inf and nan entries must sit at the same positions as before the split
     # (both kernels add to the inf diagonal ends outside their errstate); the
@@ -204,8 +188,7 @@ def test_split_kernels_match_the_combined_kernel_bitwise(nforms, closed_l, close
     u0 = np.log(np.exp(QLO * x) + np.exp(QHI * x))
     u = (u0 + 0.01 * np.cos(x)) * scale
     bcoef, boff = FORMS[nforms]
-    args = (u, u0, x[1] - x[0], 0.6, xi, bcoef, boff, QLO, QHI, 0.8, 1e-9, 1e-9,
-            closed_l, closed_r)
+    args = (u, u0, x[1] - x[0], 0.6, xi, bcoef, boff, QLO, QHI, 0.8, 1e-9, 1e-9)
     with np.errstate(invalid="ignore"):
         new = split_residual_1d(*args)
         old = combined_residual_1d(*args)
@@ -247,8 +230,7 @@ def residual_trials(draw):
     boff = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=k, max_size=k)))
     t = draw(st.floats(0.0, 1.0, exclude_min=True))
     xi = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)))
-    return (u, u0, h, t, xi, bcoef, boff, qlo, qhi, draw(st.floats(0.1, 2.0)),
-            draw(st.booleans()), draw(st.booleans()))
+    return (u, u0, h, t, xi, bcoef, boff, qlo, qhi, draw(st.floats(0.1, 2.0)))
 
 
 @settings(deadline=None, max_examples=300)

@@ -13,13 +13,24 @@ Usage (from the repository root; a full scan takes a few minutes):
 One line per input and command gives the input, the command, the sweep's
 termination and accepted steps, and the leading 16 hex digits of the
 sha256 of the report, the trace CSV, stdout, stderr and the exit code.
-The last line is the sha256 of all the lines before it: two trees that
-print the same final digest behave byte-identically on the scan.
+The ``scan digest`` line is the sha256 of all the lines before it: two
+trees that print the same digest behave byte-identically on the scan.
+
+Then the scan runs the zero-field sweep of every input in the library,
+``continuity_sweep(hp, [0.0])`` at default options followed by
+``estimate_rm_numeric``, as the perfbench ``diverge-1d`` op does.  One line
+per input gives the input, ``zero-field``, the termination, the accepted
+states, the estimate, whether the bracket [last accepted t, diverged_at]
+contains the exact greatest Ricci lower bound R (``-`` unless the sweep
+diverged after an accepted state), and the leading 16 hex digits of the
+sha256 of the accepted state tuples.  The ``zero-field digest`` line is the
+sha256 of those lines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,7 +39,9 @@ import sys
 import tempfile
 from fractions import Fraction as Q
 
-from horofano.cli import main
+from horofano import (HorofanoError, continuity_sweep, estimate_rm_numeric,
+                      greatest_ricci_lower_bound)
+from horofano.cli import load_problem, main
 
 TORIC = {"factors": [], "torus_rank": 1}
 B1 = {"factors": [["B", 1]], "torus_rank": 0}
@@ -85,19 +98,53 @@ def run_one(label: str, spec: dict, command: str) -> str:
                      str(sweep.get("steps_accepted", "-"))] + [_short(p) for p in parts])
 
 
-def main_scan() -> int:
+def zero_field_one(label: str, spec: dict) -> str:
+    """The zero-field line of one input, loaded from ``input.json`` in the
+    current directory."""
+    with open("input.json", "w", encoding="utf-8") as fh:
+        json.dump(spec, fh, sort_keys=True)
+    hp = load_problem("input.json").hp
+    trace = continuity_sweep(hp, [0.0])
+    try:
+        estimate = repr(estimate_rm_numeric(trace)[0])
+    except HorofanoError:
+        estimate = "-"
+    contains = "-"
+    if trace.termination == "divergence" and trace.states:
+        exact = greatest_ricci_lower_bound(hp).t_infinity
+        contains = "yes" if trace.states[-1].t <= exact <= trace.diverged_at else "no"
+    states = repr([dataclasses.astuple(s) for s in trace.states]).encode()
+    return " ".join([label, "zero-field", trace.termination, str(len(trace.states)),
+                     estimate, contains, _short(states)])
+
+
+def _section(lines_of) -> list[str]:
+    """The lines ``lines_of(label, spec)`` of every input, printed as they
+    come, run in a temporary directory."""
     lines = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for label, spec in scan_inputs():
-                for command in ("all", "continuity"):
-                    lines.append(run_one(label, spec, command))
-                    print(lines[-1], flush=True)
+                for line in lines_of(label, spec):
+                    lines.append(line)
+                    print(line, flush=True)
         finally:
             os.chdir(cwd)
-    print("scan digest", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    return lines
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def main_scan() -> int:
+    commands = ("all", "continuity")
+    scan = _section(lambda label, spec: [run_one(label, spec, c) for c in commands])
+    print("scan digest", _digest(scan))
+    zero_field = _section(lambda label, spec: [zero_field_one(label, spec)])
+    print("zero-field digest", _digest(zero_field))
     return 0
 
 
