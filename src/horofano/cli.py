@@ -30,7 +30,7 @@ from .polytopes import (
     validate_reflective,
 )
 from .problem import HorosphericalProblem, problem_from_root_data
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_matrix
 from .ricci import greatest_ricci_lower_bound
 from .roots import build_root_system, parabolic_data
 from .soliton import kahler_einstein_test, solve_soliton
@@ -75,13 +75,7 @@ def _object(value, path: str, keys, what: str = "key") -> dict:
 
 
 def _parse_matrix(obj, path: str):
-    if obj is None:
-        return None
-    try:
-        return [[parse_rational(c, f"{path}[{i}][{j}]") for j, c in enumerate(row)]
-                for i, row in enumerate(obj)]
-    except TypeError:
-        raise SchemaError("expected a matrix of rationals", path)
+    return None if obj is None else parse_matrix(obj, path)
 
 
 def _is_int(value) -> bool:

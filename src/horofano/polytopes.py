@@ -28,8 +28,9 @@ from .rationals import (
     coprime_integers,
     format_rational,
     int_det,
-    nullspace_vector,
+    parse_matrix,
     parse_rational,
+    parse_vector,
     scaled_integers,
     solve_square,
     vadd,
@@ -177,26 +178,6 @@ def _vertices_from_facets(facets: list[Facet], dim: int) -> list[Vec]:
     return sorted(vertices)
 
 
-def _check_unbounded(facets: list[Facet], dim: int) -> None:
-    normals = [n for n, _ in facets]
-    if affine_rank([zero_vec(dim)] + normals) < dim:
-        raise MathValidationError(
-            "halfspace normals do not span the ambient space (unbounded)",
-            condition="bounded",
-        )
-    if dim == 1:
-        return
-    for subset in combinations(normals, dim - 1):
-        ray = nullspace_vector(list(subset), dim)
-        if ray is None:
-            continue
-        for cand in (ray, tuple(-a for a in ray)):
-            if all(vdot(n, cand) <= 0 for n in normals):
-                raise MathValidationError(
-                    f"recession ray {cand} detected (unbounded)", condition="bounded"
-                )
-
-
 def from_vertices(points) -> Polytope:
     """Convex hull of exact rational points; rejects degenerate input."""
     pts = sorted({tuple(Q(c) for c in p) for p in points})
@@ -230,7 +211,17 @@ def from_halfspaces(halfspaces) -> Polytope:
     if any(len(normal) != dim for normal, _ in cleaned):
         raise MathValidationError("inconsistent coordinate lengths")
     cleaned = sorted(set(cleaned))
-    _check_unbounded(cleaned, dim)
+    # {n.x <= c} is bounded exactly when the normals positively span the
+    # space, that is, when 0 lies strictly inside their hull
+    normals = sorted({n for n, _ in cleaned})
+    if affine_rank(normals) < dim or any(
+        off <= 0 for _, off in _facets_from_points(normals, dim)
+    ):
+        raise MathValidationError(
+            "halfspace intersection is unbounded: 0 is not interior to the hull "
+            "of the normals",
+            condition="bounded",
+        )
     vertices = _vertices_from_facets(cleaned, dim)
     if not vertices:
         raise MathValidationError("halfspace intersection is empty")
@@ -252,31 +243,18 @@ def dual_polytope(p: Polytope) -> Polytope:
     return from_halfspaces([(tuple(-c for c in v), Q(1)) for v in p.vertices])
 
 
-def _cmp_angle(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Counter-clockwise order of two offsets from a centre, from the +x
-    direction."""
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross == 0:
-        return 0
-    return -1 if cross > 0 else 1
-
-
 def _fan_polygon(points: list[tuple[int, int]]) -> list[tuple]:
     """The fan triangles of a convex polygon of integer points from its
-    least vertex.  The vertices are ordered by angle about their centre;
-    each offset from the centre is taken times the vertex count, which keeps
-    it an integer and keeps every sign."""
-    n = len(points)
-    sx, sy = sum(q[0] for q in points), sum(q[1] for q in points)
-    angle = cmp_to_key(_cmp_angle)
-    ordered = sorted(points, key=lambda q: angle((n * q[0] - sx, n * q[1] - sy)))
-    start = ordered.index(min(ordered))
-    cyc = ordered[start:] + ordered[:start]
-    return [(cyc[0], cyc[i], cyc[i + 1]) for i in range(1, len(cyc) - 1)]
+    least vertex a, given sorted, the others in counter-clockwise order about
+    a: p comes before q when the cross product of p - a and q - a is
+    positive."""
+    a, *rest = points
+
+    def cross(p, q):
+        return (p[0] - a[0]) * (q[1] - a[1]) - (p[1] - a[1]) * (q[0] - a[0])
+
+    rest.sort(key=cmp_to_key(lambda p, q: -cross(p, q)))
+    return [(a, p, q) for p, q in zip(rest, rest[1:])]
 
 
 def triangulate(p: Polytope) -> list[Simplex]:
@@ -449,17 +427,10 @@ def polytope_from_json(obj, field: str = "polytope") -> Polytope:
         raise SchemaError("exactly one of 'vertices'/'facets' required", field)
     try:
         if "vertices" in obj:
-            pts = [
-                [parse_rational(c, f"{field}.vertices[{i}][{j}]") for j, c in enumerate(row)]
-                for i, row in enumerate(obj["vertices"])
-            ]
-            return from_vertices(pts)
+            return from_vertices(parse_matrix(obj["vertices"], f"{field}.vertices"))
         halfspaces = []
         for i, f in enumerate(obj["facets"]):
-            normal = [
-                parse_rational(c, f"{field}.facets[{i}].normal[{j}]")
-                for j, c in enumerate(f["normal"])
-            ]
+            normal = parse_vector(f["normal"], f"{field}.facets[{i}].normal")
             offset = parse_rational(f["offset"], f"{field}.facets[{i}].offset")
             halfspaces.append((normal, offset))
         return from_halfspaces(halfspaces)

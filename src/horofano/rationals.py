@@ -3,12 +3,12 @@
 Vectors are immutable tuples of ``Fraction``; the solves take a matrix as a
 sequence of rows.  The integer routes scale rational rows to integers once
 (``scaled_integers``, ``coprime_integers``) and compute on plain Python
-integers: small determinants by cofactors (``int_det``), and ``affine_rank``,
-``solve_square`` and ``nullspace_vector`` by one fraction-free Gauss-Jordan
-elimination (``_reduce``), so a rank builds no ``Fraction`` and a solve one
-per returned entry.  Input rationals are bounded (``MAX_DIGITS``) and
-printing a result checks Python's limit on integer digits.  Everything here
-is exact, deterministic and free of floats.
+integers: small determinants by cofactors (``int_det``), and ``affine_rank``
+and ``solve_square`` by one fraction-free Gauss-Jordan elimination
+(``_reduce``), so a rank builds no ``Fraction`` and a solve one per returned
+entry.  Input rationals are bounded (``MAX_DIGITS``) and printing a result
+checks Python's limit on integer digits.  Everything here is exact,
+deterministic and free of floats.
 """
 
 from __future__ import annotations
@@ -132,22 +132,6 @@ def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
     return tuple(Q(row[n], d) for row in m)
 
 
-def nullspace_vector(rows: Sequence[Vec], dim: int) -> Vec | None:
-    """A nonzero exact solution of ``rows @ x = 0`` when the rows have rank
-    ``dim - 1``; None otherwise.  The solution is the one whose first free
-    coordinate is 1."""
-    ints, _ = scaled_integers(rows)
-    m, pivots, d = _reduce(ints, dim)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    x = [Q(0)] * dim
-    x[free] = Q(1)
-    for row, col in zip(m, pivots):
-        x[col] = Q(-row[free], d)
-    return tuple(x)
-
-
 def affine_rank(points: Sequence[Vec]) -> int:
     """Dimension of the affine span of a point set (exact)."""
     if not points:
@@ -184,6 +168,21 @@ def parse_rational(value, field: str = "") -> Q:
             f"numerator or denominator longer than {MAX_DIGITS} digits", field or None
         )
     return q
+
+
+def parse_vector(value, field: str) -> list[Q]:
+    """A JSON list of rationals (``parse_rational``); anything else, a string
+    included, is a ``SchemaError`` naming ``field``."""
+    if not isinstance(value, list):
+        raise SchemaError("expected a list of rationals", field)
+    return [parse_rational(c, f"{field}[{j}]") for j, c in enumerate(value)]
+
+
+def parse_matrix(value, field: str) -> list[list[Q]]:
+    """A JSON list of rows, each a list of rationals (``parse_vector``)."""
+    if not isinstance(value, list):
+        raise SchemaError("expected a list of lists of rationals", field)
+    return [parse_vector(row, f"{field}[{i}]") for i, row in enumerate(value)]
 
 
 def format_rational(value: Q) -> str:

@@ -32,26 +32,25 @@ def _block_roots(family: str, rank: int) -> tuple[list[Vec], list[Vec], int]:
             for j in range(i + 1, dim)
         ]
         return simple, positive, dim
-    if family in ("B", "C", "D"):
-        dim = rank
-        simple = [vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank - 1)]
-        if family == "B":
-            simple.append(_unit(dim, rank - 1))
-        elif family == "C":
-            simple.append(_unit(dim, rank - 1, 2))
-        elif rank >= 2:
-            simple.append(vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
-        positive = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positive.append(vadd(_unit(dim, i), _unit(dim, j, -1)))
-                positive.append(vadd(_unit(dim, i), _unit(dim, j)))
-        if family == "B":
-            positive.extend(_unit(dim, i) for i in range(rank))
-        elif family == "C":
-            positive.extend(_unit(dim, i, 2) for i in range(rank))
-        return simple, positive, dim
-    raise MathValidationError(f"unknown family letter {family!r}", condition="family")
+    # B, C or D: ``build_root_system`` has checked the letter
+    dim = rank
+    simple = [vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank - 1)]
+    if family == "B":
+        simple.append(_unit(dim, rank - 1))
+    elif family == "C":
+        simple.append(_unit(dim, rank - 1, 2))
+    elif rank >= 2:
+        simple.append(vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
+    positive = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            positive.append(vadd(_unit(dim, i), _unit(dim, j, -1)))
+            positive.append(vadd(_unit(dim, i), _unit(dim, j)))
+    if family == "B":
+        positive.extend(_unit(dim, i) for i in range(rank))
+    elif family == "C":
+        positive.extend(_unit(dim, i, 2) for i in range(rank))
+    return simple, positive, dim
 
 
 def _embed(v: Vec, offset: int, dim: int) -> Vec:

@@ -3,9 +3,9 @@
 These are the earlier rational routes of the package, kept here as oracles
 that share no code with ``horofano``: facets from a nullspace vector of the
 edges of every ``dim``-subset of points, vertices from an exact solve of
-every ``dim``-subset of facets, and integrals from the expansion of a product
-of affine forms into barycentric monomials, one ``Fraction`` per term
-(Baldoni et al., "How to integrate a polynomial over a simplex", Math. Comp.
+every ``dim``-subset of facets, unboundedness from a search for recession
+rays, and integrals from the expansion of a product of affine forms into
+barycentric monomials, one ``Fraction`` per term (Baldoni et al., "How to integrate a polynomial over a simplex", Math. Comp.
 2011).  A polytope is integrated over its own cone triangulation from the
 mean of its vertices, not over the package's fan.
 """
@@ -55,6 +55,22 @@ def nullspace(rows, dim):
     for row, col in zip(m, pivots):
         x[col] = -row[free]
     return tuple(x)
+
+
+def unbounded(normals, dim):
+    """Whether ``{n.x <= c}`` over the normals is unbounded for every
+    offset: the normals do not span, or some (dim - 1)-subset of them has a
+    nullspace ray r, or -r, with n.r <= 0 for every normal (a recession
+    ray; in 1-D the one subset is empty and r = 1)."""
+    if rank([(Q(0),) * dim, *normals]) < dim:
+        return True
+    for subset in combinations(normals, dim - 1):
+        ray = nullspace(subset, dim)
+        if ray is not None and any(
+            all(_dot(n, r) <= 0 for n in normals) for r in (ray, tuple(-a for a in ray))
+        ):
+            return True
+    return False
 
 
 def rank(points):

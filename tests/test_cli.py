@@ -706,6 +706,29 @@ def test_ragged_facet_normals_are_validation_error(tmp_path):
     assert main(["validate", "--input", write(tmp_path, spec)]) == 3
 
 
+TORIC_Q = {
+    "root_system": {"factors": [], "torus_rank": 1},
+    "levi_subset": [],
+    "polytope": {"Q": {"vertices": [["-1"], ["1"]]}},
+}
+
+
+@pytest.mark.parametrize("spec, message", [
+    # Python would read each string character by character
+    ({"root_system": {"factors": [["B", 1]], "torus_rank": 0}, "levi_subset": [],
+      "polytope": {"moment": {"vertices": "02"}}},
+     "polytope.moment.vertices: expected a list of lists of rationals"),
+    (dict(TORIC_Q, lattice_override={"coweight_basis": "1"}),
+     "lattice_override.coweight_basis: expected a list of lists of rationals"),
+    (dict(TORIC_M12, polytope={"moment": {"facets": [
+        {"normal": "1", "offset": "2"}, {"normal": ["-1"], "offset": "1"}]}}),
+     "polytope.moment.facets[0].normal: expected a list of rationals"),
+], ids=["vertices", "coweight_basis", "normal"])
+def test_string_for_a_list_is_schema_error(tmp_path, capsys, spec, message):
+    assert main(["invariants", "--input", write(tmp_path, spec)]) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
 B1_HALF_3 = {
     "root_system": {"factors": [["B", 1]], "torus_rank": 0},
     "levi_subset": [],

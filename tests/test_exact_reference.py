@@ -84,6 +84,40 @@ def test_from_halfspaces_matches_the_fraction_route(pts, data):
     assert _all_fractions(p.vertices) and _all_fractions([[o for _, o in p.facets]])
 
 
+@settings(deadline=None, max_examples=150)
+@given(pts=point_sets(), data=st.data())
+def test_bounded_exactly_when_no_recession_ray(pts, data):
+    # the facets of a bounded polytope, some dropped, plus halfspaces whose
+    # normals are random or minus one or two earlier normals, so that 0 often
+    # lies on the boundary of the hull of the normals
+    dim = len(pts[0])
+    assume(ref.rank(pts) == dim)
+    _, facets = ref.from_vertices(pts)
+    kept = [f for f in facets if data.draw(st.booleans())]
+    for _ in range(data.draw(st.integers(0, 3))):
+        normal = data.draw(st.tuples(*[COORDS] * dim))
+        if kept and data.draw(st.booleans()):
+            picks = data.draw(st.lists(st.sampled_from(kept), min_size=1, max_size=2))
+            normal = tuple(-sum(c) for c in zip(*(n for n, _ in picks)))
+        if any(normal):
+            kept.append((normal, data.draw(COORDS)))
+    assume(kept)
+    unbounded = ref.unbounded([n for n, _ in kept], dim)
+    try:
+        from_halfspaces(kept)
+        condition = None
+    except MathValidationError as exc:
+        condition = exc.condition
+    assert (condition == "bounded") == unbounded
+
+
+def test_one_sided_interval_is_unbounded():
+    with pytest.raises(MathValidationError) as info:
+        from_halfspaces([((-1,), -1)])
+    assert info.value.condition == "bounded"
+    assert ref.unbounded([(Q(-1),)], 1)
+
+
 @st.composite
 def simplices_and_forms(draw):
     """A nondegenerate rational simplex and up to five affine forms; one may

@@ -319,6 +319,18 @@ def test_reflective_coroot_membership_both_ways():
     assert any(not ok for *_, ok in rep2.coroot_witness)
 
 
+def test_reflective_vertex_at_a_scaled_coroot():
+    # A1, Levi []: kappa = (1, -1), a = 2, and the scaled coroot (1/2, -1/2)
+    # is a vertex of q off the lattice
+    rd = build_root_system([("A", 1)])
+    pd = parabolic_data(rd, [])
+    coroot = (Q(1, 2), Q(-1, 2))
+    assert pd.kappa == (Q(1), Q(-1))
+    rep = validate_reflective(from_vertices([coroot, (-1, 1), (1, 1), (-1, -1)]), rd, pd)
+    assert (coroot, "coroot") in rep.vertex_branches
+    assert rep.vertices_ok
+
+
 def test_reflective_lattice_override():
     rd = build_root_system([], torus_rank=1)
     pd = parabolic_data(rd, [])

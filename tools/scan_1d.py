@@ -41,7 +41,7 @@ from fractions import Fraction as Q
 
 from horofano import (HorofanoError, continuity_sweep, estimate_rm_numeric,
                       greatest_ricci_lower_bound)
-from horofano.cli import load_problem, main
+from horofano.cli import TRACE_COMMANDS, load_problem, main
 
 TORIC = {"factors": [], "torus_rank": 1}
 B1 = {"factors": [["B", 1]], "torus_rank": 0}
@@ -80,7 +80,8 @@ def _read(path: str) -> bytes:
 
 def run_one(label: str, spec: dict, command: str) -> str:
     """The scan line of one command on one input, run in the current
-    directory with relative paths, so the report names no temporary path."""
+    directory with relative paths, so the report names no temporary path;
+    ``--trace`` goes only to a command that runs the sweep."""
     with open("input.json", "w", encoding="utf-8") as fh:
         json.dump(spec, fh, sort_keys=True)
     for name in ("report.json", "trace.csv"):
@@ -88,8 +89,8 @@ def run_one(label: str, spec: dict, command: str) -> str:
             os.remove(name)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", "input.json",
-                     "--out", "report.json", "--trace", "trace.csv"])
+        code = main([command, "--input", "input.json", "--out", "report.json"]
+                    + (["--trace", "trace.csv"] if command in TRACE_COMMANDS else []))
     report = _read("report.json")
     sweep = json.loads(report).get("continuity", {}) if report else {}
     parts = (report, _read("trace.csv"), out.getvalue().encode(),
