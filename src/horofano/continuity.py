@@ -246,7 +246,7 @@ class ContinuityTrace:
 # ---------------------------------------------------------------------------
 
 
-def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray) -> np.ndarray:
+def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Shift the potential so the grid mass identity holds exactly.
 
     The truncated system has one soft nearly-affine mode (the additive
@@ -256,7 +256,7 @@ def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray) -> np.ndarray:
     steps short and well inside the admissible region.  A ratio mass/V
     that is zero or not finite is a ``SolverError``: the solve fails.
     """
-    w = t * u + (1.0 - t) * setup.u0
+    w = t * u + ref
     wmin = float(np.min(w))
     try:
         ratio = setup.h * float(np.sum(np.exp(-(w - wmin)))) * math.exp(-wmin) / setup.volume
@@ -290,18 +290,19 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
     defect, which cannot be reduced at the given grid spacing, from the
     convergence test; it is reported separately as ``gauge_defect``.
     """
-    # rejected line-search trials may overflow their merit, and the gauge
-    # split of an overflowed residual is NaN; the error state is entered once
-    # per solve, as entering it costs a sizable share of a trial
+    # rejected trials may overflow their merit, and the gauge split of an
+    # overflowed residual is NaN; the kernels run in this error state, entered
+    # once per solve, as entering it costs a sizable share of a trial
     with np.errstate(over="ignore", invalid="ignore"):
         opts = setup.options
-        u = _rebalance(setup, t, init)
+        ref = (1.0 - t) * setup.u0  # the reference term of w, fixed for the solve
+        u = _rebalance(setup, t, init, ref)
 
         # every line-search trial evaluates the residual; the Jacobian bands and
         # the admissibility flag are built only for the iterates it accepts
-        def residual(vec):
-            return kernels.residual_1d(vec, setup.u0, setup.h, t, setup.xi, setup.bcoef,
-                                       setup.boff, setup.qlo, setup.qhi, setup.invc)
+        def residual(vec, uext=None):
+            return kernels.residual_1d(vec, ref, setup.h, t, setup.xi, setup.bcoef,
+                                       setup.boff, setup.qlo, setup.qhi, setup.invc, uext)
 
         def jacobian(parts):
             return kernels.jacobian_1d(parts, setup.h, t, setup.xi, setup.bcoef, setup.invc)
@@ -377,8 +378,11 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
             # dips at rounding scale would otherwise block legitimate steps)
             lam = 1.0
             for _ in range(22):
-                trial = u + lam * delta
-                f_t, parts_t = residual(trial)
+                # the trial u + lam * delta, built in its stencil's ghost buffer
+                uext = np.empty(setup.n + 2)
+                trial = np.multiply(delta, lam, out=uext[1:-1])
+                trial += u
+                f_t, parts_t = residual(trial, uext)
                 f_t_red, _ = split(f_t)
                 merit_t = 0.5 * float(f_t_red @ f_t_red)
                 if merit_t <= merit * (1.0 - 2e-4 * lam) + allowance:

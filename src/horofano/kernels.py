@@ -1,25 +1,24 @@
 """Hot numeric kernels: quadrature moments, the 1-D residual, its
 tridiagonal Jacobian and admissibility mask, and the tridiagonal solve.
 
-The 1-D residual is evaluated on every Newton line-search trial; the
-Jacobian bands and the admissibility mask are built from the parts it
-returns, only for the iterates the line search accepts.  A trial copies the
-potential once into the ghost-extended buffer of ``stencil_1d``, forms the
-second difference (and, where something reads it, the centred gradient) in
-place, then the exponential term and the residual.  With no soliton field
-and no density forms, as on the whole zero-field toric path, the gradient
-would only enter multiplied by a zero field, so it is skipped; this leaves
-every bit of every accepted trial unchanged (``residual_1d`` gives the
-argument).
+A 1-D Newton step does only the work that sets its bits.  Each line-search
+trial is built in the ghost buffer of ``stencil_1d`` and costs one
+``residual_1d``: the second difference (and, where something reads it, the
+centred gradient) in place, then the exponential term, whose reference part
+(1 - t) u0 is blended once per solve.  The Jacobian bands and the
+admissibility mask are built from its parts only for accepted iterates.
+With no soliton field and no density forms (the zero-field toric path)
+neither the residual nor the bands form the gradient terms, which would be
+multiplied by zero.  The kernels run in the caller's numpy error state
+(Newton enters one per solve).  Every accepted iterate keeps its bits.
 
 Everything is numpy, except the tridiagonal solve, which calls LAPACK
 ``dgtsv`` (LU with partial pivoting).  ``thomas`` binds it on its first call
 through ctypes from the OpenBLAS that numpy's wheel ships and has already
 loaded (``numpy.libs/libscipy_openblas64_*.so``: a private library name,
 symbol ``scipy_dgtsv_64_``, 64-bit integers), so a cold 1-D command never
-imports scipy, whose ``scipy.linalg`` package costs a sizable share of a cold
-command.  Where numpy carries no such library (numpy built against MKL,
-Accelerate or a system OpenBLAS) it falls back to
+imports ``scipy.linalg``.  Where numpy carries no such library (numpy built
+against MKL, Accelerate or a system OpenBLAS) it falls back to
 ``scipy.linalg.lapack.dgtsv``, the same routine.  Results are deterministic
 (fixed summation order per call).  ``perfbench/run.py --trace 1`` reports
 per-kernel times.
@@ -53,7 +52,7 @@ def quad_moments(points, weights, ell):
 # ---------------------------------------------------------------------------
 
 
-def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
+def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True, uext=None):
     """The 1-D finite-difference stencil of a grid potential ``u``.
 
     Returns (uext, second, grad, terms): ``u`` as float64 with one ghost
@@ -64,16 +63,17 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
     and the density factors boff - grad * bcoef / 2, one column per form
     (an (n, 0) array without forms).
 
-    ``uext`` is one fresh buffer and the differences are formed in place,
-    in the operation order of (uext[2:] - 2u + uext[:-2]) / h^2 and
-    (uext[2:] - uext[:-2]) / (2h), so their bits do not depend on how they
-    are assembled.  With ``gradient=False`` and no forms nothing reads the
-    gradient: it is not computed and ``grad`` is None.  ``bcoef`` and
-    ``boff`` are float64 arrays, as ``build_setup`` makes them.
+    ``uext`` is a fresh buffer that ``u`` is copied into or, if given, a
+    float64 buffer of n + 2 whose interior already is ``u``.  The differences
+    are formed in place, in the operation order of (uext[2:] - 2u +
+    uext[:-2]) / h^2 and (uext[2:] - uext[:-2]) / (2h).  With
+    ``gradient=False`` and no forms the gradient is not computed and
+    ``grad`` is None.  ``bcoef`` and ``boff`` are float64 arrays.
     """
     n, k = len(u), bcoef.shape[0]
-    uext = np.empty(n + 2)
-    uext[1:-1] = u
+    if uext is None:
+        uext = np.empty(n + 2)
+        uext[1:-1] = u
     uext[0] = uext[1] - h * qlo
     uext[-1] = uext[-2] + h * qhi
     right, left = uext[2:], uext[:-2]
@@ -89,84 +89,70 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True):
     return uext, second, grad, terms
 
 
-def residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc):
+def residual_1d(u, ref, h, t, xi, bcoef, boff, qlo, qhi, invc, uext=None):
     """Residual of the normalized discrete 1-D equation,
     F_i = u''_i * density(u'_i) / c - exp(-w_i - u'_i xi), on the stencil
-    ``stencil_1d``, with w = t u + (1 - t) u0.
+    ``stencil_1d`` (``uext`` is passed on to it), with w = t u + ref and
+    ``ref`` = (1 - t) u0, which Newton blends once per solve.
 
-    The Newton line search calls this on every trial.  Returns (f, parts):
-    parts = (second, terms, dens, rhs) are the second differences, density
-    factors, density (the scalar 1.0 when there are no forms) and
+    Returns (f, parts): parts = (second, terms, dens, rhs) are the second
+    differences, density factors, density (the scalar 1.0 without forms) and
     exponential term at every node, from which ``jacobian_1d`` assembles the
-    bands of an accepted iterate without recomputing them.  ``u0``,
-    ``bcoef`` and ``boff`` are float64 arrays, as ``build_setup`` makes
-    them; ``u`` is copied into the stencil's float64 buffer.
+    bands.  ``ref``, ``bcoef`` and ``boff`` are float64 arrays and the rest
+    floats, as ``build_setup`` makes them.
 
-    With ``xi == 0`` (either sign) and no density forms, as on the whole
-    zero-field toric path, the centred gradient would only enter as
-    ``grad * xi``, so the stencil skips it and the exponent is -w.  This is
-    exact: for a finite gradient ``grad * xi`` is a signed zero and
-    -w - (+-0) has the bits of -w, or differs only in the sign of a zero,
-    which exp maps to the same 1.0.  Where the gradient is not finite, the
-    trial's merit is inf or nan, so the line search rejects it whichever
-    value that node holds.  A non-finite entry of ``u`` makes its own second
-    difference non-finite.  Otherwise a finite merit needs exp(-w) finite,
-    so ``u`` is bounded below, and a centred difference beyond 2h times the
-    largest float then puts a neighbour of the node so high that exp(-w) is
-    0 from there on: each residual there is the second difference over c
-    alone, which a finite merit keeps below about 1e154, far too little to
-    bend that slope back to the boundary slope within the grid.
+    The exponent is formed as (-t) u - ref: rounding to nearest is symmetric
+    in sign, so it has the bits of -(t u + ref), up to the sign of a zero,
+    which exp maps to the same 1.0, or of a nan.  With ``xi == 0`` (either
+    sign) and no density forms the centred gradient would only enter as
+    ``grad * xi``, a signed zero where it is finite, so the stencil skips
+    it.  Where the gradient is not finite, the trial's merit is inf or nan,
+    so the line search rejects it whichever value that node holds: a
+    non-finite entry of ``u`` makes its own second difference non-finite;
+    otherwise a finite merit needs exp(-w) finite, so ``u`` is bounded below,
+    and a centred difference beyond 2h times the largest float puts a
+    neighbour so high that exp(-w) is 0 from there on, where each residual is
+    the second difference over c, which a finite merit keeps below about
+    1e154, far too little to bend that slope back to the boundary slope.
     """
-    h, t, xi, invc = float(h), float(t), float(xi), float(invc)
-    uext, second, grad, terms = stencil_1d(
-        u, h, float(qlo), float(qhi), bcoef, boff, gradient=xi != 0.0
-    )
-    if bcoef.shape[0]:
-        dens = np.prod(terms, axis=1)
-        curv = second * dens
-    else:  # no density forms: the density is 1 and multiplying by it is exact
-        dens = 1.0
-        curv = second
-    # rhs = exp(-w - grad * xi), built in one buffer in that order
-    rhs = np.multiply(uext[1:-1], t)
-    rhs += (1.0 - t) * u0
-    np.negative(rhs, out=rhs)
-    # far-off line-search trials may overflow the exponential; the resulting
-    # inf/nan entries fail the merit comparison and the trial is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        if grad is not None:
-            np.multiply(grad, xi, out=grad)
-            rhs -= grad
-        np.exp(rhs, out=rhs)
-        f = np.multiply(curv, invc)
-        f -= rhs
+    uext, second, grad, terms = stencil_1d(u, h, qlo, qhi, bcoef, boff, xi != 0.0, uext)
+    # without density forms the density is 1 and multiplying by it is exact
+    dens = np.prod(terms, axis=1) if bcoef.shape[0] else 1.0
+    curv = second * dens if bcoef.shape[0] else second
+    # rhs = exp((-t) u - ref - grad * xi), built in one buffer in that order
+    rhs = np.multiply(uext[1:-1], -t)
+    rhs -= ref
+    if grad is not None:
+        np.multiply(grad, xi, out=grad)
+        rhs -= grad
+    np.exp(rhs, out=rhs)
+    f = np.multiply(curv, invc)
+    f -= rhs
     return f, (second, terms, dens, rhs)
 
 
 def jacobian_1d(parts, h, t, xi, bcoef, invc):
     """Tridiagonal Jacobian (lower, diag, upper) of ``residual_1d`` at the
-    iterate whose ``parts`` it returned; Newton builds it only for the
-    iterates its line search accepts."""
+    iterate whose ``parts`` it returned: off-diagonals a2 -+ ag, a2 = dens /
+    (c h^2).  With ``xi == 0`` (either sign) and no forms the gradient term ag
+    is a signed zero wherever the parts are finite, so it is not formed; where
+    a part is not finite, -f is not either, and ``thomas`` rejects the step."""
     second, terms, dens, rhs = parts
-    bcoef = np.ascontiguousarray(bcoef, dtype=np.float64)
-    h, t, xi, invc = float(h), float(t), float(xi), float(invc)
-    n = second.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    n, k = second.shape[0], bcoef.shape[0]
+    a2 = dens * invc / (h * h)
+    diag = -2.0 * a2 + rhs * t
+    if k or xi != 0.0:
         # d(dens)/d(grad) by the product rule (terms may legitimately vanish
         # on the boundary of the gradient polytope, so never divide by them)
-        k = bcoef.shape[0]
         sd = np.zeros(n)
         for m in range(k):
             other = np.prod(np.delete(terms, m, axis=1), axis=1) if k > 1 else np.ones(n)
             sd += -0.5 * bcoef[m] * other
-        a2 = dens * invc / (h * h)
         ag = (second * sd * invc + rhs * xi) / (2.0 * h)
-        cm = a2 - ag
-        cp = a2 + ag
-        cc = -2.0 * a2 + rhs * t
-    lower = np.zeros(n)
-    diag = cc
-    upper = np.zeros(n)
+        cm, cp = a2 - ag, a2 + ag
+    else:  # a2 is the scalar invc / h^2 and a2 -+ (+-0) is a2
+        cm = cp = np.full(n, a2)
+    lower, upper = np.zeros(n), np.zeros(n)
     lower[1:] = cm[1:]
     upper[:-1] = cp[:-1]
     diag[0] += cm[0]
@@ -179,7 +165,10 @@ def admissible_1d(second, terms, conv_floor, term_floor):
     (the parts ``residual_1d`` returns) nonnegative up to the given rounding
     floors.  The potential is machine-affine deep in the tails, and Newton
     iterates may dip below zero there transiently."""
-    return (second >= -float(conv_floor)) & np.all(terms >= -float(term_floor), axis=1)
+    ok = second >= -conv_floor
+    if terms.shape[1]:
+        ok &= np.all(terms >= -term_floor, axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ class SolitonSolution:
     hessian_min_eig: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
     """Damped Newton on G from xi = 0 until |F(xi)| <= RESIDUAL_TOL * volume,
-    in at most MAX_ITER steps."""
+    in at most MAX_ITER steps; values beyond the float range are a ``SolverError``."""
     r = hp.a1_dim
     kappa = np.array([float(c) for c in hp.kappa])
     try:
@@ -61,9 +62,14 @@ def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
     moments = _moments_shifted(hp, xi)
     for it in range(MAX_ITER + 1):
         g, i1, i2 = moments
+        if not all(np.isfinite(m).all() for m in moments):
+            raise SolverError("quadrature moments beyond the float range", last_state=xi)
         f = i1 - kappa * g
         hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
         resid = float(np.linalg.norm(f))
+        if not (np.isfinite(resid) and np.isfinite(hess).all()):
+            raise SolverError(f"soliton F or Hessian beyond the float range (|F| = {resid:.3e})",
+                              last_state=xi)
         if resid <= bound:
             return SolitonSolution(
                 xi=xi,

@@ -560,6 +560,53 @@ def test_result_past_the_print_limit_is_schema_error(tmp_path, capsys):
         "schema error: input: an exact result has too many digits to print")
 
 
+def _with_vertex(spec, i, j, value):
+    vertices = [list(v) for v in spec["polytope"]["moment"]["vertices"]]
+    vertices[i][j] = value
+    return dict(spec, polytope={"moment": {"vertices": vertices}})
+
+
+OVERFLOWING_SOLITON = {
+    "toric[-5e136,11/4]": dict(TORIC_M12, polytope={"moment": {"vertices": [
+        [str(-5 * 10**136)], ["11/4"]]}}),
+    # perfbench boxes A2-levi1[1/8,1/8,1/8] and A2-levi0[1/4,3/8,1/2], one
+    # vertex coordinate replaced
+    "A2-levi1-9e54": _with_vertex(
+        _box([["A", 2]], [1], ["7/8", "7/8", "-17/8"], ["9/8", "9/8", "-15/8"]),
+        2, 0, str(9 * 10**54)),
+    "A2-levi0-3e77": _with_vertex(
+        _box([["A", 2]], [], ["7/4", "-3/8", "-5/2"], ["9/4", "3/8", "-3/2"]),
+        0, 2, str(-3 * 10**77)),
+    "simplex-9e61": {
+        "root_system": {"factors": [], "torus_rank": 3},
+        "levi_subset": [],
+        "polytope": {"moment": {"facets": [
+            {"normal": ["1", "0", "0"], "offset": str(9 * 10**61)},
+            {"normal": ["0", "1", "0"], "offset": "1"},
+            {"normal": ["0", "0", "1"], "offset": "1"},
+            {"normal": ["-1", "-1", "-1"], "offset": "1"},
+        ]}},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SOLITON))
+def test_soliton_overflow_is_one_error_line(tmp_path, name):
+    # a moment, |F| or the Hessian at xi = 0 overflows: one solver error
+    # that names the overflow, and no numpy warning before it, even with
+    # warnings as errors
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "horofano.cli", "soliton", "--input",
+         write(tmp_path, OVERFLOWING_SOLITON[name])],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(dh.__file__).parents[1])))
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and proc.stderr.endswith("\n")
+    what = "soliton F or Hessian" if name.startswith("A2-levi1") else "quadrature moments"
+    assert lines[0].startswith(f"solver error: {what} beyond the float range")
+
+
 A2_LEVI = {
     "root_system": {"factors": [["A", 2]], "torus_rank": 0},
     "levi_subset": [1],

@@ -52,7 +52,7 @@ def residual_and_mask(setup, u, t):
     and the per-point admissibility mask (curvature and gradient confinement
     beyond the rounding floors)."""
     f, (second, terms, _, _) = kernels.residual_1d(
-        u, setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
+        u, (1.0 - t) * setup.u0, setup.h, t, setup.xi, setup.bcoef, setup.boff, setup.qlo,
         setup.qhi, setup.invc,
     )
     return f, kernels.admissible_1d(second, terms, setup.conv_floor, setup.term_floor)
@@ -173,6 +173,21 @@ def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
     assert tool.zero_field_one("toric[-1,2]", dict(inputs)["toric[-1,2]"]) == (
         "toric[-1,2] zero-field divergence 14 0.6664131924768069 no c2827b4b1dea875e"
     )
+
+
+@pytest.mark.parametrize("line", [
+    "toric[-3/2,5/2] zero-field divergence 16 0.7497143662916261 no 231b692f8ed30187",
+    "toric[-4,3/2] zero-field divergence 13 0.5451823948937988 no 29afe3e8cba7113b",
+    "toric[-1/2,4] zero-field divergence 8 0.22207301989379885 no 7eb33a8d53418078",
+], ids=lambda line: line.split()[0])
+def test_scan_tool_zero_field_lines(tmp_path, monkeypatch, line):
+    # more inputs of the diverge-1d family (zero-field sweeps of non-Einstein
+    # toric intervals), recorded before the zero-field Newton step dropped its
+    # dead work: every accepted state must keep its bits
+    tool = _scan_tool()
+    label = line.split()[0]
+    monkeypatch.chdir(tmp_path)
+    assert tool.zero_field_one(label, dict(tool.scan_inputs())[label]) == line
 
 
 @pytest.mark.parametrize("field, expected", [

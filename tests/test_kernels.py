@@ -127,8 +127,9 @@ def combined_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
 
 def split_residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc,
                       conv_floor, term_floor):
-    """The split kernels composed into the same (f, lower, diag, upper, ok)."""
-    f, parts = kernels.residual_1d(u, u0, h, t, xi, bcoef, boff, qlo, qhi, invc)
+    """The split kernels composed into the same (f, lower, diag, upper, ok);
+    the residual takes the reference term blended, as Newton passes it."""
+    f, parts = kernels.residual_1d(u, (1.0 - t) * u0, h, t, xi, bcoef, boff, qlo, qhi, invc)
     bands = kernels.jacobian_1d(parts, h, t, xi, bcoef, invc)
     ok = bool(np.all(kernels.admissible_1d(parts[0], parts[1], conv_floor, term_floor)))
     return (f, *bands, ok)
@@ -162,7 +163,7 @@ NFORMS_IDS = ["False-False-0", "False-False-1", "False-False-2"]
 @pytest.mark.parametrize("nforms", [0, 1, 2], ids=NFORMS_IDS)
 def test_residual_jacobian_matches_finite_differences(nforms):
     bcoef, boff = FORMS[nforms]
-    args = (U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8)
+    args = ((1.0 - 0.6) * U0, H, 0.6, 0.2, bcoef, boff, QLO, QHI, 0.8)
     _, parts = kernels.residual_1d(U, *args)
     lower, diag, upper = kernels.jacobian_1d(parts, H, 0.6, 0.2, bcoef, 0.8)
     jac = dense(lower, diag, upper)
@@ -181,22 +182,45 @@ def test_residual_jacobian_matches_finite_differences(nforms):
 @pytest.mark.parametrize("scale", [1.0, 1e3, -1e3])
 def test_split_kernels_match_the_combined_kernel_bitwise(nforms, xi, scale):
     # scale -1e3 is a far-off line-search trial whose exponential overflows:
-    # inf and nan entries must sit at the same positions as before the split
-    # (both kernels add to the inf diagonal ends outside their errstate); the
+    # inf and nan entries of f must sit at the same positions as before the
+    # split; the kernels run in the caller's error state, as in Newton's; the
     # grid spacing is not a power of two, so a reassociated product shows
     x = np.linspace(-5, 5, 38)
     u0 = np.log(np.exp(QLO * x) + np.exp(QHI * x))
     u = (u0 + 0.01 * np.cos(x)) * scale
     bcoef, boff = FORMS[nforms]
     args = (u, u0, x[1] - x[0], 0.6, xi, bcoef, boff, QLO, QHI, 0.8, 1e-9, 1e-9)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         new = split_residual_1d(*args)
         old = combined_residual_1d(*args)
-    for a, b in zip(new[:4], old[:4]):
-        assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(new[0], old[0], equal_nan=True)
     assert new[4] == old[4]
+    if scale > 0 or xi != 0.0 or nforms:
+        for a, b in zip(new[1:4], old[1:4]):
+            assert np.array_equal(a, b, equal_nan=True)
+    else:
+        # zero field without forms: the bands leave out the gradient term,
+        # a signed zero at finite nodes and nan at the overflowed ones, so
+        # they may be finite where the reference's are not; the solve of the
+        # Newton step still rejects the system, by the non-finite -f
+        for bands, f in ((new[1:4], new[0]), (old[1:4], old[0])):
+            with pytest.raises(SolverError, match="non-finite"):
+                kernels.thomas(*bands, -f)
     if scale < 0:
         assert not np.all(np.isfinite(new[0]))
+
+
+@pytest.mark.parametrize("nforms", [0, 1, 2, "negative"])
+def test_admissible_mask_reads_the_density_factors(nforms):
+    # on the convex reference potential the second differences pass; the
+    # form 1/2 - grad/2 turns negative where the gradient nears QHI = 3/2
+    bcoef, boff = FORMS[nforms] if nforms != "negative" else (np.ones(1), np.full(1, 0.5))
+    _, (second, terms, _, _) = kernels.residual_1d(U0, 0.4 * U0, H, 0.6, 0.2, bcoef, boff,
+                                                   QLO, QHI, 0.8)
+    mask = kernels.admissible_1d(second, terms, 1e-9, 1e-9)
+    assert (second >= -1e-9).all()
+    assert np.array_equal(mask, np.all(terms >= -1e-9, axis=1))
+    assert mask.all() == (nforms != "negative")
 
 
 def same_bits(a, b):
@@ -239,18 +263,39 @@ def test_residual_bitwise_equal_to_the_seed_stencil(args):
     # without forms and field the kernel skips the centred gradient; where
     # the reference gradient is not finite, its f and rhs may then differ at
     # that node, but both merits are non-finite and the trial is rejected
-    # either way
+    # either way; the residual takes the reference term blended, as Newton
+    # passes it, and both run in the caller's error state
+    u, u0, h, t, xi, bcoef = args[:6]
+    invc = args[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the far-off nodes
-        f, (second, terms, dens, rhs) = kernels.residual_1d(*args)
+        f, parts = kernels.residual_1d(u, (1.0 - t) * u0, *args[2:])
+        bands = kernels.jacobian_1d(parts, h, t, xi, bcoef, invc)
         ref_f, (ref_second, ref_terms, ref_dens, ref_rhs), ref_grad = seed_residual_1d(*args)
-    xi, bcoef = args[4], args[5]
-    keep = np.isfinite(ref_grad) if xi == 0.0 and not bcoef.shape[0] else slice(None)
+        *ref_bands, ref_ok = combined_residual_1d(*args, 1e-9, 1e-9)[1:]
+        merit = f @ f
+    second, terms, dens, rhs = parts
+    skipped = xi == 0.0 and not bcoef.shape[0]
+    keep = np.isfinite(ref_grad) if skipped else slice(None)
     assert same_bits(second, ref_second)
     assert same_bits(terms, ref_terms) and same_bits(dens, ref_dens)
     assert same_bits(f[keep], ref_f[keep]) and same_bits(rhs[keep], ref_rhs[keep])
+    assert bool(np.all(kernels.admissible_1d(second, terms, 1e-9, 1e-9))) == ref_ok
     if not np.isfinite(ref_grad).all():
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(f @ f) and not np.isfinite(ref_f @ ref_f)
+            assert not np.isfinite(merit) and not np.isfinite(ref_f @ ref_f)
+    # the Jacobian bands of every trial the line search may accept; the
+    # zero-field bands without forms skip the gradient term, which is a
+    # signed zero wherever the merit is finite
+    if np.isfinite(merit) or not skipped:
+        for band, ref_band in zip(bands, ref_bands):
+            assert same_bits(band, ref_band)
+    # a part that is not finite makes -f non-finite too, so the solve
+    # rejects the bands and -f as it rejects the reference bands
+    if not all(np.isfinite(p).all() for p in parts):
+        with pytest.raises(SolverError, match="non-finite"):
+            kernels.thomas(*bands, -f)
+        with pytest.raises(SolverError, match="non-finite"):
+            kernels.thomas(*ref_bands, -ref_f)
 
 
 def test_thomas_backends_agree_and_solve(rng):

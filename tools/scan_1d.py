@@ -25,6 +25,10 @@ contains the exact greatest Ricci lower bound R (``-`` unless the sweep
 diverged after an accepted state), and the leading 16 hex digits of the
 sha256 of the accepted state tuples.  The ``zero-field digest`` line is the
 sha256 of those lines.
+
+Each section's wall time goes to standard error, outside the digested
+lines, so a change to the 1-D solver reads its before and after from the
+scan it already runs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from fractions import Fraction as Q
 
 from horofano import (HorofanoError, continuity_sweep, estimate_rm_numeric,
@@ -119,11 +124,13 @@ def zero_field_one(label: str, spec: dict) -> str:
                      estimate, contains, _short(states)])
 
 
-def _section(lines_of) -> list[str]:
+def _section(name: str, lines_of) -> list[str]:
     """The lines ``lines_of(label, spec)`` of every input, printed as they
-    come, run in a temporary directory."""
+    come, run in a temporary directory; the section's wall time goes to
+    standard error under ``name``."""
     lines = []
     cwd = os.getcwd()
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
@@ -133,6 +140,7 @@ def _section(lines_of) -> list[str]:
                     print(line, flush=True)
         finally:
             os.chdir(cwd)
+    print(f"{name} section {time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
     return lines
 
 
@@ -142,9 +150,9 @@ def _digest(lines: list[str]) -> str:
 
 def main_scan() -> int:
     commands = ("all", "continuity")
-    scan = _section(lambda label, spec: [run_one(label, spec, c) for c in commands])
+    scan = _section("scan", lambda label, spec: [run_one(label, spec, c) for c in commands])
     print("scan digest", _digest(scan))
-    zero_field = _section(lambda label, spec: [zero_field_one(label, spec)])
+    zero_field = _section("zero-field", lambda label, spec: [zero_field_one(label, spec)])
     print("zero-field digest", _digest(zero_field))
     return 0
 
