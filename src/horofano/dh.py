@@ -11,23 +11,23 @@ check.
 Everything that does not depend on the exponent is built once per problem
 and held by it (``HorosphericalProblem.moment_data``), so it lives and dies
 with the problem: the fan triangulation, the exact density volume and first
-moments (the density forms scaled to integers and the monomial weights
-tabled once, then one barycentric expansion of the density per simplex,
-Baldoni et al., "How to integrate a polynomial over a simplex", Math.
-Comp. 2011, shared by ``dh_volume`` and ``dh_barycenter``), and, on first
-quadrature use, the float simplex vertices and per quadrature order each
-simplex's node weights with the density folded in.  The density's
-nonnegativity is the problem's own check
-(``HorosphericalProblem.validate``).  The unit-simplex nodes and weights
-depend only on (r, order) and are cached per pair; each
-``weighted_moments`` call maps the unit nodes affinely onto every simplex
-and hands them, with the stored weights and the exponent, to
-``kernels.quad_moments(points, weights, ell)``, and sums the per-simplex
-results with Neumaier's compensation (ZAMM 1974) over plain floats.  The
-stored weights take one float per node per order: about 180 kB for the two
-orders of a B3 box (six simplices, orders 10 and 14).  The exact commands
-never build the float data, so coordinates beyond the float range fail
-only the float commands, with a ``SolverError``.
+moments (the density forms scaled to integers, then one barycentric
+expansion of the density per simplex, Baldoni et al., "How to integrate a
+polynomial over a simplex", Math. Comp. 2011, shared by ``dh_volume`` and
+``dh_barycenter``), and, on first quadrature use, the float simplex vertices
+and per quadrature order each simplex's mapped nodes and their weights with
+the density folded in.  The density's nonnegativity is the problem's own
+check (``HorosphericalProblem.validate``).  Two tables depend on no problem
+and are cached per key for the process: the monomial weights of the exact
+route per (degree, dimension), and the unit-simplex nodes and weights per
+(r, order).  Each ``weighted_moments`` call hands every simplex's stored
+nodes and weights, with the exponent, to ``kernels.quad_moments(points,
+weights, ell)``, and sums the per-simplex results with Neumaier's
+compensation (ZAMM 1974) over plain floats.  The stored nodes and weights
+take 1 + r floats per node per order: about 720 kB for the two orders of a
+B3 box (six simplices, orders 10 and 14).  The exact commands never build
+the float data, so coordinates beyond the float range fail only the float
+commands, with a ``SolverError``.
 """
 
 from __future__ import annotations
@@ -106,12 +106,13 @@ def _vertex_values(verts, scale: int, row: tuple[int, ...], m: int) -> tuple[lis
     return [v // g for v in values], m * scale // g
 
 
-def _monomial_weights(k: int, d: int) -> tuple[list[int], list[list[int]]]:
+@functools.cache
+def _monomial_weights(k: int, d: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The keys of the barycentric monomials lambda^a of degree k in d + 1
     variables (the exponents a read as base-(k + 1) digits) and, per
     variable j, the weight prod(a!) (a_j + 1) of each monomial in the
-    first moments.  It depends only on (k, d), so one table serves every
-    simplex of a problem."""
+    first moments.  It depends only on (k, d), so it is tabled once per
+    pair for the process, as tuples."""
     base = k + 1
     keys, weights = [], [[] for _ in range(d + 1)]
     for combo in combinations_with_replacement(range(d + 1), k):
@@ -120,7 +121,7 @@ def _monomial_weights(k: int, d: int) -> tuple[list[int], list[list[int]]]:
         w = prod(factorial(a) for a in exps)
         for col, a in zip(weights, exps):
             col.append(w * (a + 1))
-    return keys, weights
+    return tuple(keys), tuple(map(tuple, weights))
 
 
 def _simplex_mass_moments(simplex: Simplex, forms, table) -> tuple[Q, list[Q]]:
@@ -265,17 +266,16 @@ class MomentData:
 
     The fan triangulation at once, the exact volume and first moments on
     first exact use, the float simplex vertices and forms on first
-    quadrature use, and per quadrature order the node weights of every
-    simplex times the density at each node.  The node coordinates are not
-    kept; each call maps them again from the unit table.  The exact commands
-    never build the float data, so coordinates beyond the float range fail
-    only the float commands.
+    quadrature use, and per quadrature order the nodes of every simplex,
+    mapped once from the unit table, with their weights times the density at
+    each node.  The exact commands never build the float data, so
+    coordinates beyond the float range fail only the float commands.
     """
 
     def __init__(self, polytope: Polytope, density: DHDensity):
         self.polytope, self.density = polytope, density
         self.simplices = triangulate(polytope)
-        self._weights: dict[int, list[np.ndarray]] = {}
+        self._nodes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     @functools.cached_property
     def fverts(self) -> list[np.ndarray]:
@@ -313,27 +313,24 @@ class MomentData:
             )
         return vol, first
 
-    def weights(self, m: int) -> list[np.ndarray]:
-        """Per simplex, the order-m node weights times the density."""
-        if m not in self._weights:
+    def nodes(self, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per simplex, the order-m nodes and their weights times the
+        density; read-only."""
+        if m not in self._nodes:
             table = []
             for verts in self.fverts:
                 pts, wts = _simplex_nodes(verts, m)
                 wd = wts * np.prod(pts @ self.fforms.T, axis=1)
-                wd.flags.writeable = False
-                table.append(wd)
-            self._weights[m] = table
-        return self._weights[m]
+                pts.flags.writeable = wd.flags.writeable = False
+                table.append((pts, wd))
+            self._nodes[m] = table
+        return self._nodes[m]
 
 
 def _moments_at(hp: HorosphericalProblem, ell: np.ndarray, m: int):
     """The order-m (I0, I1, I2) of ``weighted_moments``, a compensated sum over simplices."""
-    data = hp.moment_data
-    u, _ = _unit_simplex_nodes(hp.moment.dim, m)
-    parts = []
-    for verts, wd in zip(data.fverts, data.weights(m)):
-        parts.append(kernels.quad_moments(_simplex_points(verts, u), wd, ell))
-    return _neumaier_reduce(parts)
+    return _neumaier_reduce(
+        [kernels.quad_moments(pts, wd, ell) for pts, wd in hp.moment_data.nodes(m)])
 
 
 def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
@@ -348,8 +345,8 @@ def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
     r >= 2 at degree + 4, so the r >= 2 schedule ends with the r = 1 pairs.
     A 1-D call costs only about 45 nodes, and the 1-D continuity outcome can
     move with the last bits of the soliton field, so r = 1 keeps the higher
-    start.  Moments beyond the float range are a ``QuadratureError`` that
-    says so.
+    start.  Moments beyond the float range, a non-finite entry of either
+    order of a pair, are at once a ``QuadratureError`` that says so.
     """
     r = hp.moment.dim
     ell = np.asarray([float(x) for x in ell], dtype=np.float64)
@@ -364,15 +361,20 @@ def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
         for m in range(start, top - 3, 8):
             lo, hi = _moments_at(hp, ell, m), _moments_at(hp, ell, m + 4)
             scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
-            last_err = max(
+            # np.max keeps a nan wherever it sits (Python's max drops one
+            # that is not its first argument), so a non-finite entry of
+            # either order gives a non-finite estimate
+            last_err = float(np.max((
                 abs(hi[0] - lo[0]),
-                float(np.max(np.abs(hi[1] - lo[1]), initial=0.0)),
-                float(np.max(np.abs(hi[2] - lo[2]), initial=0.0)),
-            ) / scale
+                np.max(np.abs(hi[1] - lo[1]), initial=0.0),
+                np.max(np.abs(hi[2] - lo[2]), initial=0.0),
+            ))) / scale
             if last_err <= DEFAULT_QUAD_REL_TOL:
                 return WeightedMoments(
                     i0=float(hi[0]), i1=hi[1], i2=hi[2], rel_error=last_err, order=m + 4
                 )
+            if not isfinite(last_err):
+                break
     if isfinite(last_err):
         why = f"error estimate {last_err:.3e} above tolerance {DEFAULT_QUAD_REL_TOL:.3e}"
     else:

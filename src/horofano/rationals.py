@@ -3,12 +3,12 @@
 Vectors are immutable tuples of ``Fraction``; the solves take a matrix as a
 sequence of rows.  The integer routes scale rational rows to integers once
 (``scaled_integers``, ``coprime_integers``) and compute on plain Python
-integers: small determinants by cofactors (``int_det``), and ``affine_rank``
-and ``solve_square`` by one fraction-free Gauss-Jordan elimination
-(``_reduce``), so a rank builds no ``Fraction`` and a solve one per returned
-entry.  Input rationals are bounded (``MAX_DIGITS``) and printing a result
-checks Python's limit on integer digits.  Everything here is exact,
-deterministic and free of floats.
+integers: small determinants by cofactors (``int_det``), and ``int_rank``,
+``affine_rank`` and ``solve_square`` by one fraction-free Gauss-Jordan
+elimination (``_reduce``), so a rank builds no ``Fraction`` and a solve one
+per returned entry.  Input rationals are bounded (``MAX_DIGITS``) and
+printing a result checks Python's limit on integer digits.  Everything here
+is exact, deterministic and free of floats.
 """
 
 from __future__ import annotations
@@ -132,13 +132,18 @@ def solve_square(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vec | None:
     return tuple(Q(row[n], d) for row in m)
 
 
+def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of a matrix of integer rows with ``ncols`` columns."""
+    return len(_reduce(rows, ncols)[1])
+
+
 def affine_rank(points: Sequence[Vec]) -> int:
     """Dimension of the affine span of a point set (exact)."""
     if not points:
         return -1
     pts, _ = scaled_integers(points)
     base = pts[0]
-    return len(_reduce([[a - b for a, b in zip(p, base)] for p in pts[1:]], len(base))[1])
+    return int_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]], len(base))
 
 
 def parse_rational(value, field: str = "") -> Q:

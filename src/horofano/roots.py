@@ -3,7 +3,11 @@
 Root systems are realized in the standard orthogonal coordinates (type A of
 rank n sits inside R^{n+1}), direct sums are concatenated block-wise, torus
 factors contribute rootless coordinates, and the invariant scalar product is
-the identity on these coordinates.  All data are exact rationals.
+the identity on these coordinates.  All data are exact rationals.  The
+roots are integer vectors in these coordinates, so the blocks, the Cartan
+check, the Levi test, kappa and the pairings of kappa with the coroots are
+computed on plain integer tuples, and each returned vector is built once as
+a tuple of ``Fraction``.
 """
 
 from __future__ import annotations
@@ -12,40 +16,51 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .errors import MathValidationError
-from .rationals import Vec, affine_rank, vadd, vdot, vsum, zero_vec
+from .rationals import Vec, int_rank, scaled_integers, vdot
 
 FAMILIES = ("A", "B", "C", "D")
 
-
-def _unit(dim: int, i: int, value=1) -> Vec:
-    return tuple(Q(value) if j == i else Q(0) for j in range(dim))
+IntVec = tuple[int, ...]
 
 
-def _block_roots(family: str, rank: int) -> tuple[list[Vec], list[Vec], int]:
-    """Simple roots, positive roots and block dimension for one factor."""
+def _unit(dim: int, i: int, value: int = 1) -> IntVec:
+    return tuple(value if j == i else 0 for j in range(dim))
+
+
+def _add(x: IntVec, y: IntVec) -> IntVec:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _dot(x: IntVec, y: IntVec) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _block_roots(family: str, rank: int) -> tuple[list[IntVec], list[IntVec], int]:
+    """Simple roots, positive roots (integer tuples) and block dimension for
+    one factor."""
     if family == "A":
         dim = rank + 1
-        simple = [vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank)]
+        simple = [_add(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank)]
         positive = [
-            vadd(_unit(dim, i), _unit(dim, j, -1))
+            _add(_unit(dim, i), _unit(dim, j, -1))
             for i in range(dim)
             for j in range(i + 1, dim)
         ]
         return simple, positive, dim
     # B, C or D: ``build_root_system`` has checked the letter
     dim = rank
-    simple = [vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank - 1)]
+    simple = [_add(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank - 1)]
     if family == "B":
         simple.append(_unit(dim, rank - 1))
     elif family == "C":
         simple.append(_unit(dim, rank - 1, 2))
     elif rank >= 2:
-        simple.append(vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
+        simple.append(_add(_unit(dim, rank - 2), _unit(dim, rank - 1)))
     positive = []
     for i in range(rank):
         for j in range(i + 1, rank):
-            positive.append(vadd(_unit(dim, i), _unit(dim, j, -1)))
-            positive.append(vadd(_unit(dim, i), _unit(dim, j)))
+            positive.append(_add(_unit(dim, i), _unit(dim, j, -1)))
+            positive.append(_add(_unit(dim, i), _unit(dim, j)))
     if family == "B":
         positive.extend(_unit(dim, i) for i in range(rank))
     elif family == "C":
@@ -53,8 +68,8 @@ def _block_roots(family: str, rank: int) -> tuple[list[Vec], list[Vec], int]:
     return simple, positive, dim
 
 
-def _embed(v: Vec, offset: int, dim: int) -> Vec:
-    return zero_vec(offset) + v + zero_vec(dim - offset - len(v))
+def _fractions(v: IntVec) -> Vec:
+    return tuple(map(Q, v))
 
 
 @dataclass(frozen=True)
@@ -88,34 +103,35 @@ def build_root_system(factors, torus_rank: int = 0) -> RootDatum:
 
     blocks = [_block_roots(fam, rank) for fam, rank in factors]
     dim = sum(b[2] for b in blocks) + torus_rank
-    simple: list[Vec] = []
-    positive: list[Vec] = []
+    simple: list[IntVec] = []
+    positive: list[IntVec] = []
     offset = 0
     for blk_simple, blk_positive, blk_dim in blocks:
-        simple.extend(_embed(s, offset, dim) for s in blk_simple)
-        positive.extend(_embed(p, offset, dim) for p in blk_positive)
+        head, tail = (0,) * offset, (0,) * (dim - offset - blk_dim)
+        simple.extend(head + s + tail for s in blk_simple)
+        positive.extend(head + p + tail for p in blk_positive)
         offset += blk_dim
-
-    rd = RootDatum(
+    _check_cartan(simple)
+    return RootDatum(
         family=factors,
         torus_rank=torus_rank,
         dim=dim,
-        simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
+        simple_roots=tuple(map(_fractions, simple)),
+        positive_roots=tuple(map(_fractions, positive)),
     )
-    _check_cartan(rd)
-    return rd
 
 
-def _check_cartan(rd: RootDatum) -> None:
-    for i, a in enumerate(rd.simple_roots):
-        for j, b in enumerate(rd.simple_roots):
+def _check_cartan(simple: list[IntVec]) -> None:
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
             if i == j:
                 continue
-            c = 2 * rd.pairing(a, b) / rd.pairing(b, b)
-            if c.denominator != 1 or c > 0:
+            # the Cartan integer 2(a,b)/(b,b), with (b,b) > 0
+            num, den = 2 * _dot(a, b), _dot(b, b)
+            if num % den or num > 0:
                 raise MathValidationError(
-                    f"Cartan integer 2(a,b)/(b,b) = {c} invalid for simple pair ({i},{j})",
+                    f"Cartan integer 2(a,b)/(b,b) = {Q(num, den)} invalid for simple pair "
+                    f"({i},{j})",
                     condition="cartan",
                 )
 
@@ -148,24 +164,32 @@ def parabolic_data(rd: RootDatum, levi) -> ParabolicDatum:
             raise MathValidationError(
                 f"Levi index {i} out of range 1..{n_simple}", condition="levi_subset"
             )
-    # every positive root is a nonnegative combination of the simple roots,
-    # so it is a Levi root exactly when it lies in the Levi simple roots' span
-    levi_simple = [rd.simple_roots[i - 1] for i in sorted(levi)]
+    # the roots as integer rows over one positive scale (1 for the roots of
+    # ``build_root_system``); every positive root is a nonnegative
+    # combination of the simple roots, so it is a Levi root exactly when it
+    # lies in the Levi simple roots' span
+    rows, scale = scaled_integers(rd.simple_roots + rd.positive_roots)
+    levi_simple = [rows[i - 1] for i in sorted(levi)]
     phi_q = [
-        root
-        for root in rd.positive_roots
-        if affine_rank([zero_vec(rd.dim), *levi_simple, root]) > len(levi_simple)
+        (root, row)
+        for root, row in zip(rd.positive_roots, rows[n_simple:])
+        if int_rank([*levi_simple, row], rd.dim) > len(levi_simple)
     ]
-    kappa = vsum(phi_q, rd.dim)
+    kappa = tuple(map(sum, zip(*(row for _, row in phi_q)))) or (0,) * rd.dim
     a_alpha: dict[Vec, int] = {}
-    for root in phi_q:
-        a = rd.pairing(kappa, coroot(rd, root))
-        if a.denominator != 1 or a <= 0:
+    for root, row in phi_q:
+        # <kappa, 2 alpha / (alpha, alpha)>, the common scale cancelling
+        num, den = 2 * _dot(kappa, row), _dot(row, row)
+        if num % den or num <= 0:
             raise MathValidationError(
-                f"pairing of kappa with coroot of {root} is {a}, not a positive integer",
+                f"pairing of kappa with coroot of {root} is {Q(num, den)}, "
+                "not a positive integer",
                 condition="a_alpha",
             )
-        a_alpha[root] = int(a)
+        a_alpha[root] = num // den
     return ParabolicDatum(
-        levi_subset=levi, phi_Q_plus=tuple(phi_q), kappa=kappa, a_alpha=a_alpha
+        levi_subset=levi,
+        phi_Q_plus=tuple(root for root, _ in phi_q),
+        kappa=tuple(Q(k, scale) for k in kappa),
+        a_alpha=a_alpha,
     )

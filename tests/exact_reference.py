@@ -7,7 +7,10 @@ every ``dim``-subset of facets, unboundedness from a search for recession
 rays, and integrals from the expansion of a product of affine forms into
 barycentric monomials, one ``Fraction`` per term (Baldoni et al., "How to integrate a polynomial over a simplex", Math. Comp.
 2011).  A polytope is integrated over its own cone triangulation from the
-mean of its vertices, not over the package's fan.
+mean of its vertices, not over the package's fan.  Root data are built as
+``Fraction`` vectors: classical blocks embedded block-wise, the Levi test
+by the rank of the Levi simple roots with the root, kappa as a ``Fraction``
+sum and each pairing <kappa, coroot> as a ``Fraction``.
 """
 
 from fractions import Fraction as Q
@@ -241,3 +244,69 @@ def volume_and_barycenter(vertices, facets, forms):
         polytope_integral(vertices, facets, affine + [(u, Q(0))]) / vol for u in units
     )
     return vol, bar
+
+
+def _unit(dim, i, value=1):
+    return tuple(Q(value) if j == i else Q(0) for j in range(dim))
+
+
+def _vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def block_roots(family, rank):
+    """Simple roots, positive roots and block dimension of one classical
+    factor in the standard orthogonal coordinates."""
+    if family == "A":
+        dim = rank + 1
+        simple = [_vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank)]
+        positive = [_vadd(_unit(dim, i), _unit(dim, j, -1))
+                    for i in range(dim) for j in range(i + 1, dim)]
+        return simple, positive, dim
+    dim = rank
+    simple = [_vadd(_unit(dim, i), _unit(dim, i + 1, -1)) for i in range(rank - 1)]
+    if family == "B":
+        simple.append(_unit(dim, rank - 1))
+    elif family == "C":
+        simple.append(_unit(dim, rank - 1, 2))
+    elif rank >= 2:
+        simple.append(_vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
+    positive = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            positive.append(_vadd(_unit(dim, i), _unit(dim, j, -1)))
+            positive.append(_vadd(_unit(dim, i), _unit(dim, j)))
+    if family == "B":
+        positive.extend(_unit(dim, i) for i in range(rank))
+    elif family == "C":
+        positive.extend(_unit(dim, i, 2) for i in range(rank))
+    return simple, positive, dim
+
+
+def root_system(factors, torus_rank):
+    """(dim, simple roots, positive roots) of a direct sum plus a torus."""
+    blocks = [block_roots(f, r) for f, r in factors]
+    dim = sum(b[2] for b in blocks) + torus_rank
+    simple, positive, offset = [], [], 0
+    for blk_simple, blk_positive, blk_dim in blocks:
+        def embed(v):
+            return (Q(0),) * offset + v + (Q(0),) * (dim - offset - blk_dim)
+        simple += [embed(v) for v in blk_simple]
+        positive += [embed(v) for v in blk_positive]
+        offset += blk_dim
+    return dim, simple, positive
+
+
+def coroot(alpha):
+    norm2 = _dot(alpha, alpha)
+    return tuple(2 * a / norm2 for a in alpha)
+
+
+def parabolic(dim, simple, positive, levi):
+    """(positive roots outside the Levi, kappa, a_alpha) for 1-based Levi
+    indices."""
+    levi_simple = [simple[i - 1] for i in sorted(levi)]
+    phi_q = [root for root in positive
+             if rank([(Q(0),) * dim, *levi_simple, root]) > len(levi_simple)]
+    kappa = tuple(sum((root[i] for root in phi_q), Q(0)) for i in range(dim))
+    return phi_q, kappa, {root: _dot(kappa, coroot(root)) for root in phi_q}

@@ -21,11 +21,12 @@ from horofano import (
     density_from_forms,
     dh_barycenter,
     dh_volume,
+    from_halfspaces,
     from_vertices,
     triangulate,
     weighted_moments,
 )
-from horofano import dh
+from horofano import dh, kernels
 from horofano.rationals import vdot
 
 UNIT_TRIANGLE = Simplex(vertices=((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))))
@@ -177,6 +178,25 @@ def test_weighted_moments_tolerance_error(monkeypatch):
     with pytest.raises(QuadratureError) as err:
         weighted_moments(bare_problem(p01), [1.0])
     assert err.value.estimate > 0
+
+
+@pytest.mark.parametrize("polytope", [
+    from_vertices([(-1,), (10**300,)]),
+    # the torus-rank-3 simplex with facet x <= 9 * 10^61: I0 and I1 are
+    # finite at order 10, but I2 holds nan entries
+    from_halfspaces([((1, 0, 0), 9 * 10**61), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((-1, -1, -1), 1)]),
+], ids=["interval-1e300", "simplex-9e61"])
+def test_non_finite_moments_are_never_converged(polytope):
+    from horofano.soliton import weighted_mass
+
+    hp = bare_problem(polytope)
+    zero = [0.0] * polytope.dim
+    with pytest.raises(QuadratureError, match="^quadrature moments beyond the float range") as err:
+        weighted_moments(hp, zero)
+    assert not math.isfinite(err.value.estimate)
+    with pytest.raises(QuadratureError, match="beyond the float range"):
+        weighted_mass(hp, zero)
 
 
 def test_randomized_polytopes_against_monte_carlo(rng):
@@ -575,12 +595,37 @@ def test_soliton_evaluates_each_field_once(tmp_path, monkeypatch, name):
 
 def test_second_call_at_a_seen_order_builds_no_weights(tmp_path, monkeypatch):
     # the default schedule's first pair, orders 10 and 14, passes at both
-    # exponents
+    # exponents; the second call neither builds weights nor maps nodes
     hp = _load(tmp_path, "b3-levi12")
     weighted_moments(hp, [0.3, -0.2, 0.1])
     nodes = _counting(monkeypatch, "_simplex_nodes")
+    mapped = _counting(monkeypatch, "_simplex_points")
     m = weighted_moments(hp, [-0.1, 0.2, 0.05])
-    assert m.order == 14 and nodes == []
+    assert m.order == 14 and nodes == [] and mapped == []
+
+
+@pytest.mark.parametrize("name", ["a2-levi1", "b3-levi12"])
+def test_stored_nodes_are_the_per_call_mapping_bitwise(tmp_path, name):
+    # the moments from the stored nodes against nodes mapped afresh from the
+    # unit table on every call, through the same kernel and compensated sum,
+    # at both orders of the accepted pair and at two exponents
+    hp = _load(tmp_path, name)
+    data = hp.moment_data
+    for ell in (np.zeros(3), np.array([0.3, -0.2, 0.1])):
+        order = weighted_moments(hp, ell).order
+        for m in (order - 4, order):
+            u, wj = dh._unit_simplex_nodes(3, m)
+            parts = []
+            for verts in data.fverts:
+                pts = dh._simplex_points(verts, u)
+                det = abs(float(np.linalg.det(verts[1:] - verts[0])))
+                wd = wj * det * np.prod(pts @ data.fforms.T, axis=1)
+                parts.append(kernels.quad_moments(pts, wd, ell))
+            want = dh._neumaier_reduce(parts)
+            got = dh._moments_at(hp, ell, m)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
 
 
 def _rational_points(dim):

@@ -2,13 +2,21 @@
 ``exact_reference``: equal values, and ``Fraction``s throughout."""
 
 from fractions import Fraction as Q
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exact_reference as ref
-from horofano import Simplex, from_halfspaces, from_vertices
+from horofano import (
+    Simplex,
+    build_root_system,
+    coroot,
+    from_halfspaces,
+    from_vertices,
+    parabolic_data,
+)
 from horofano.dh import _integer_forms, _monomial_weights, _simplex_mass_moments
 from horofano.errors import MathValidationError
 
@@ -157,3 +165,36 @@ def test_forms_vanishing_at_a_vertex_and_everywhere():
     assert (mass, moments) == ref.simplex_mass_moments(tri, forms) and mass != 0
     zero = ((Q(0), Q(0)), Q(0))
     assert mass_moments(simplex, forms + [zero]) == (Q(0), [Q(0), Q(0)])
+
+
+# every classical factor of dimension at most 3 (rank + 1 for A, the rank
+# for B, C and D), alone and padded by a torus to dimension 3, a torus alone,
+# and sums of factors
+FACTORS = [(f, r) for f in "ABCD" for r in (1, 2, 3) if r + (f == "A") <= 3]
+ROOT_CASES = (
+    [((b,), 0) for b in FACTORS]
+    + [((b,), 3 - b[1] - (b[0] == "A")) for b in FACTORS if b[1] + (b[0] == "A") < 3]
+    + [((), 3), ((("A", 1), ("B", 1)), 0), ((("C", 2), ("B", 1)), 0),
+       ((("D", 2), ("C", 1)), 0), ((("D", 1), ("B", 1), ("C", 1)), 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "factors, torus_rank", ROOT_CASES,
+    ids=["+".join(f"{f}{r}" for f, r in fs) + f"+T{t}" for fs, t in ROOT_CASES],
+)
+def test_root_data_match_the_fraction_route(factors, torus_rank):
+    rd = build_root_system(factors, torus_rank)
+    dim, simple, positive = ref.root_system(factors, torus_rank)
+    assert (rd.dim, rd.simple_roots, rd.positive_roots) == (dim, tuple(simple), tuple(positive))
+    assert _all_fractions(chain(rd.simple_roots, rd.positive_roots))
+    for root in positive:
+        assert coroot(rd, root) == ref.coroot(root)
+        assert _all_fractions([coroot(rd, root)])
+    n = len(simple)
+    for levi in chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1)):
+        pd = parabolic_data(rd, levi)
+        phi_q, kappa, a_alpha = ref.parabolic(dim, simple, positive, levi)
+        assert (pd.phi_Q_plus, pd.kappa, pd.a_alpha) == (tuple(phi_q), kappa, a_alpha)
+        assert _all_fractions([pd.kappa, *pd.phi_Q_plus, *pd.a_alpha])
+        assert all(type(a) is int for a in pd.a_alpha.values())

@@ -8,9 +8,11 @@ next to them say what the pinned values are.  The reflective inputs give
 ``Q`` and so produce the scaled-coroot membership witnesses of the
 reflectivity report.
 
-The ``continuity`` and ``all`` runs of 1-D inputs carry the floats of the
-soliton solve and the sweep: their digests pin every output of a run, and
-the reference potential, bit for bit on this numpy and its OpenBLAS.
+The ``soliton`` reports of the 3-D boxes carry the floats of the
+quadrature path, and the ``continuity`` and ``all`` runs of 1-D inputs the
+floats of the soliton solve and the sweep: their digests pin every output
+of a run, and the reference potential, bit for bit on this numpy and its
+OpenBLAS.
 """
 
 import hashlib
@@ -172,6 +174,19 @@ SOLITON = {
     "a2-levi1-box": ([0.17011499457181636, 0.16967370243650853, -0.33880785338185476], 3),
     "b3-levi12-box": ([0.33422893664264053, 0.33465743942257725, 0.3339247766167766], 3),
 }
+
+
+# sha256 of the ``soliton`` report bytes of the 3-D boxes
+SOLITON_DIGESTS = {
+    "a2-levi1-box": "e075644ca5a7bddd3d1d923c43439758fcfc2e21ac46f9758d6653b4344f512f",
+    "b3-levi12-box": "165822e3bd3a4a69f5c8f23c79aaf92c27c5cdeb97a2540cd03f5e8cb47e8010",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLITON_DIGESTS))
+def test_soliton_report_bytes_pinned(tmp_path, name):
+    digest = hashlib.sha256(_report(tmp_path, name, "soliton")).hexdigest()
+    assert digest == SOLITON_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SOLITON))
