@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -373,8 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser never changes, so a process builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.trace and args.command not in TRACE_COMMANDS:
             raise SchemaError(f"{args.command} runs no continuity sweep, so writes no trace",

@@ -22,7 +22,10 @@ with condition "dimension"): damped Newton on a tridiagonal system, with
 convexity and gradient confinement verified on converged states (the line
 search gates on the merit, since transient tail dips at rounding scale would
 otherwise block legitimate steps) and the translation gauge deflated exactly
-at t = 1, where the continuous equation loses its position pinning.
+at t = 1, where the continuous equation loses its position pinning.  The
+one stencil is ``kernels.stencil_1d``; this module forms no difference of
+its own.  A solved state keeps only the scalars that the report, the trace
+CSV and the sweep read, and the solve's own Newton count and gauge defect.
 """
 
 from __future__ import annotations
@@ -205,7 +208,11 @@ def build_setup(hp: HorosphericalProblem, xi, options: ContinuityOptions) -> Con
 @dataclass(frozen=True)
 class ContinuityState:
     """The scalars of a solved state at t; ``step`` is the t-step that led
-    to it.  The potential is not kept: the trace holds the final one."""
+    to it.  t, m_t, x_t, mass, residual, sup_psi and step reach the report
+    or the trace CSV, and x_t is the sweep's window test; newton_iterations
+    and gauge_defect are the solve's own count and broken-symmetry defect
+    (zero below t = 1).  The potential is not kept: the trace holds the
+    final one."""
 
     t: float
     m_t: float
@@ -214,8 +221,6 @@ class ContinuityState:
     residual: float
     sup_psi: float
     step: float
-    grad_margin: float
-    centering: float
     newton_iterations: int
     gauge_defect: float
 
@@ -263,13 +268,8 @@ def _rebalance(setup: ContinuitySetup, t: float, u: np.ndarray, ref: np.ndarray)
     except OverflowError:
         ratio = math.inf
     if not (math.isfinite(ratio) and ratio > 0.0):
-        raise SolverError(f"grid mass / V = {ratio!r} is not a finite positive float",
-                          last_state=u)
+        raise SolverError(f"grid mass / V = {ratio!r} is not a finite positive float")
     return u + math.log(ratio) / t
-
-
-def _stencil_1d(setup: ContinuitySetup, u: np.ndarray):
-    return kernels.stencil_1d(u, setup.h, setup.qlo, setup.qhi, setup.bcoef, setup.boff)
 
 
 def _thomas_transposed(lo, di, up, rhs):
@@ -315,7 +315,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
         f, parts = residual(u)
         ok = admissible(parts)
         if not ok:
-            raise SolverError("initial iterate inadmissible", last_state=u)
+            raise SolverError("initial iterate inadmissible")
         lo, di, up = jacobian(parts)
 
         gauge = None  # (g left-null, c right-null) when deflation is active
@@ -332,7 +332,8 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
             value, by inverse iteration from the translation direction; two
             rounds give the mode to far better accuracy than the separation
             to the rest of the spectrum requires."""
-            grad = _stencil_1d(setup, u)[2]
+            grad = kernels.stencil_1d(u, setup.h, setup.qlo, setup.qhi, setup.bcoef,
+                                      setup.boff)[1]
             x = grad / np.linalg.norm(grad)
             for _ in range(2):
                 y = _thomas_transposed(lo_, di_, up_, x)
@@ -358,9 +359,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
                     ok = admissible(parts, 20.0 * abs(defect) * setup.c_norm)
                 if not ok:
                     raise SolverError(
-                        "converged state violates convexity or gradient confinement",
-                        last_state=u,
-                    )
+                        "converged state violates convexity or gradient confinement")
                 return u, rnorm, it, abs(defect)
             if it == MAX_NEWTON:
                 break
@@ -392,8 +391,8 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
                     break
                 lam *= 0.5
             else:
-                raise SolverError("Newton line search stagnated", last_state=u)
-        raise SolverError(f"Newton stagnated at residual {rnorm:.3e}", last_state=u)
+                raise SolverError("Newton line search stagnated")
+        raise SolverError(f"Newton stagnated at residual {rnorm:.3e}")
 
 
 def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, step: float, rnorm: float,
@@ -401,19 +400,9 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, step: float, rnor
     h = setup.h
     w = t * u + (1.0 - t) * setup.u0
     imin = int(np.argmin(w))
-    ew = np.exp(-w)
     tail_r = math.exp(-(w[-1] + 0.5 * h * setup.qhi)) / setup.qhi
     tail_l = math.exp(-(w[0] + 0.5 * h * (-setup.qlo))) / (-setup.qlo)
-    mass = float(h * np.sum(ew) + tail_l + tail_r)
-    uext, _, grad, _ = _stencil_1d(setup, u)
-    margin = float(min(setup.qhi - grad.max(), grad.min() - setup.qlo))
-    x_l = setup.axis[0] - h
-    x_r = setup.axis[-1] + h
-    u0ghosts = _reference_potential(setup.qlo, setup.qhi, np.array([x_l, x_r]))
-    wext = np.concatenate([[t * uext[0] + (1 - t) * u0ghosts[0]], w,
-                           [t * uext[-1] + (1 - t) * u0ghosts[1]]])
-    wgrad = (wext[2:] - wext[:-2]) / (2.0 * h)
-    centering = float(h * np.sum(wgrad * ew))
+    mass = float(h * np.sum(np.exp(-w)) + tail_l + tail_r)
     return ContinuityState(
         t=t,
         m_t=float(w[imin]),
@@ -422,8 +411,6 @@ def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, step: float, rnor
         residual=rnorm,
         sup_psi=float(np.max(u - setup.u0)),
         step=step,
-        grad_margin=margin,
-        centering=centering,
         newton_iterations=iters,
         gauge_defect=gauge_defect,
     )

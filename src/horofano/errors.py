@@ -25,11 +25,7 @@ class MathValidationError(HorofanoError):
 
 
 class SolverError(HorofanoError):
-    """A numerical routine failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_state=None):
-        self.last_state = last_state
-        super().__init__(message)
+    """A numerical routine failed; the message says where and why."""
 
 
 class QuadratureError(SolverError):

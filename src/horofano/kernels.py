@@ -55,20 +55,20 @@ def quad_moments(points, weights, ell):
 def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True, uext=None):
     """The 1-D finite-difference stencil of a grid potential ``u``.
 
-    Returns (uext, second, grad, terms): ``u`` as float64 with one ghost
-    node on each side, extending it affinely with the extreme slopes
-    ``qlo`` / ``qhi`` of the gradient polytope (the truncation boundary
-    condition, the only one, also where a density form vanishes at such a
-    slope); the second difference and the centred gradient at every node;
-    and the density factors boff - grad * bcoef / 2, one column per form
-    (an (n, 0) array without forms).
+    Returns (second, grad, terms): the second difference and the centred
+    gradient at every node, and the density factors boff - grad * bcoef / 2,
+    one column per form (an (n, 0) array without forms).  Both differences
+    read ``u`` with one ghost node on each side, extending it affinely with
+    the extreme slopes ``qlo`` / ``qhi`` of the gradient polytope (the
+    truncation boundary condition, the only one, also where a density form
+    vanishes at such a slope).
 
     ``uext`` is a fresh buffer that ``u`` is copied into or, if given, a
-    float64 buffer of n + 2 whose interior already is ``u``.  The differences
-    are formed in place, in the operation order of (uext[2:] - 2u +
-    uext[:-2]) / h^2 and (uext[2:] - uext[:-2]) / (2h).  With
-    ``gradient=False`` and no forms the gradient is not computed and
-    ``grad`` is None.  ``bcoef`` and ``boff`` are float64 arrays.
+    float64 buffer of n + 2 whose interior already is ``u``; the ghosts are
+    written into it.  The differences are formed in place, in the operation
+    order of (uext[2:] - 2u + uext[:-2]) / h^2 and (uext[2:] - uext[:-2]) /
+    (2h).  With ``gradient=False`` and no forms the gradient is not computed
+    and ``grad`` is None.  ``bcoef`` and ``boff`` are float64 arrays.
     """
     n, k = len(u), bcoef.shape[0]
     if uext is None:
@@ -86,7 +86,7 @@ def stencil_1d(u, h, qlo, qhi, bcoef, boff, gradient=True, uext=None):
         grad = np.subtract(right, left)
         np.divide(grad, 2.0 * h, out=grad)
     terms = boff[None, :] - 0.5 * grad[:, None] * bcoef[None, :] if k else np.empty((n, 0))
-    return uext, second, grad, terms
+    return second, grad, terms
 
 
 def residual_1d(u, ref, h, t, xi, bcoef, boff, qlo, qhi, invc, uext=None):
@@ -115,12 +115,12 @@ def residual_1d(u, ref, h, t, xi, bcoef, boff, qlo, qhi, invc, uext=None):
     the second difference over c, which a finite merit keeps below about
     1e154, far too little to bend that slope back to the boundary slope.
     """
-    uext, second, grad, terms = stencil_1d(u, h, qlo, qhi, bcoef, boff, xi != 0.0, uext)
+    second, grad, terms = stencil_1d(u, h, qlo, qhi, bcoef, boff, xi != 0.0, uext)
     # without density forms the density is 1 and multiplying by it is exact
     dens = np.prod(terms, axis=1) if bcoef.shape[0] else 1.0
     curv = second * dens if bcoef.shape[0] else second
     # rhs = exp((-t) u - ref - grad * xi), built in one buffer in that order
-    rhs = np.multiply(uext[1:-1], -t)
+    rhs = np.multiply(u, -t)
     rhs -= ref
     if grad is not None:
         np.multiply(grad, xi, out=grad)

@@ -54,13 +54,6 @@ def vdot(x: Vec, y: Vec) -> Q:
     return sum((a * b for a, b in zip(x, y, strict=True)), Q(0))
 
 
-def vsum(vectors: Sequence[Vec], dim: int) -> Vec:
-    out = zero_vec(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
-
-
 def scaled_integers(rows: Sequence[Sequence[Q]]) -> tuple[list[tuple[int, ...]], int]:
     """The rows times L, the lcm of all their denominators, as integer
     tuples, and L."""

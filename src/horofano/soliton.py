@@ -63,13 +63,12 @@ def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
     for it in range(MAX_ITER + 1):
         g, i1, i2 = moments
         if not all(np.isfinite(m).all() for m in moments):
-            raise SolverError("quadrature moments beyond the float range", last_state=xi)
+            raise SolverError("quadrature moments beyond the float range")
         f = i1 - kappa * g
         hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
         resid = float(np.linalg.norm(f))
         if not (np.isfinite(resid) and np.isfinite(hess).all()):
-            raise SolverError(f"soliton F or Hessian beyond the float range (|F| = {resid:.3e})",
-                              last_state=xi)
+            raise SolverError(f"soliton F or Hessian beyond the float range (|F| = {resid:.3e})")
         if resid <= bound:
             return SolitonSolution(
                 xi=xi,
@@ -93,12 +92,11 @@ def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
                 break
             lam *= 0.5
         else:
-            raise SolverError("line search failed in soliton Newton", last_state=xi)
+            raise SolverError("line search failed in soliton Newton")
         xi = trial
     raise SolverError(
         f"soliton Newton stopped at |F| = {resid:.3e} after {MAX_ITER} iterations, "
-        f"above the bound {RESIDUAL_TOL:g}*V = {bound:.3e}",
-        last_state=xi,
+        f"above the bound {RESIDUAL_TOL:g}*V = {bound:.3e}"
     )
 
 

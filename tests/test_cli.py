@@ -336,6 +336,23 @@ def test_three_options_each_with_its_flag():
     assert [getattr(args, name) for name in ("grid", "t0", "tol")] == [11, 1.0, 1e-7]
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    src_path = write(tmp_path, TORIC_M12)
+    assert main(["validate", "--input", src_path]) == 0
+    first = capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    assert main(["validate", "--input", src_path]) == 0
+    assert capsys.readouterr() == first
+    # argparse errors still go to the stderr of each call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", src_path, "--box", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: horofano ")
+        assert err.endswith("error: unrecognized arguments: --box 1\n")
+
+
 def _soliton_report(tmp_path, command, flags):
     out = tmp_path / f"{command}{len(flags)}.json"
     assert main([command, "--input", write(tmp_path, TORIC_M12), "--out", str(out),
@@ -667,6 +684,22 @@ def test_input_keys_checked(tmp_path, capsys, change, message):
     spec = dict(REFLECTIVE_SQUARE, **change)
     assert main(["validate", "--input", write(tmp_path, spec)]) == 2
     assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({k: v for k, v in TORIC_M12.items() if k != "root_system"},
+     "root_system: missing required field"),
+    ({k: v for k, v in TORIC_M12.items() if k != "polytope"},
+     "polytope: missing required field"),
+    # B1 has a character space of dimension 1
+    ({"root_system": {"factors": [["B", 1]], "torus_rank": 0}, "levi_subset": [],
+      "polytope": {"Q": {"vertices": [["-1", "-1"], ["1", "-1"], ["0", "1"]]}}},
+     "polytope.Q: polytope dimension 2 != character space dimension 1"),
+], ids=["no-root_system", "no-polytope", "B1-planar-Q"])
+def test_missing_part_or_wrong_q_dimension_is_schema_error(tmp_path, capsys, spec, message):
+    for command in ("validate", "all"):
+        assert main([command, "--input", write(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 def test_all_nontoric_density_chain(tmp_path):

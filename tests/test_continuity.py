@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from a_priori import accepted_sweep, assert_gradient_confined, li_defect
 from horofano import (
     HorosphericalProblem,
     MathValidationError,
@@ -24,6 +25,7 @@ from horofano import (
     problem_from_root_data,
     solve_soliton,
     synthetic_problem,
+    weighted_moments,
 )
 from horofano import continuity, kernels
 from horofano.continuity import ContinuityOptions, build_setup
@@ -171,19 +173,20 @@ def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
         "54764910919262e1 e3b0c44298fc1c14 5feceb66ffc86f38"
     )
     assert tool.zero_field_one("toric[-1,2]", dict(inputs)["toric[-1,2]"]) == (
-        "toric[-1,2] zero-field divergence 14 0.6664131924768069 no c2827b4b1dea875e"
+        "toric[-1,2] zero-field divergence 14 0.6664131924768069 no 3274d3e4e0dcbc7b"
     )
 
 
 @pytest.mark.parametrize("line", [
-    "toric[-3/2,5/2] zero-field divergence 16 0.7497143662916261 no 231b692f8ed30187",
-    "toric[-4,3/2] zero-field divergence 13 0.5451823948937988 no 29afe3e8cba7113b",
-    "toric[-1/2,4] zero-field divergence 8 0.22207301989379885 no 7eb33a8d53418078",
+    "toric[-3/2,5/2] zero-field divergence 16 0.7497143662916261 no 4cc23bdee526a2f4",
+    "toric[-4,3/2] zero-field divergence 13 0.5451823948937988 no f028a75e8d9854e8",
+    "toric[-1/2,4] zero-field divergence 8 0.22207301989379885 no 7d7b105dd1c4cf0e",
 ], ids=lambda line: line.split()[0])
 def test_scan_tool_zero_field_lines(tmp_path, monkeypatch, line):
     # more inputs of the diverge-1d family (zero-field sweeps of non-Einstein
     # toric intervals), recorded before the zero-field Newton step dropped its
-    # dead work: every accepted state must keep its bits
+    # dead work (and hashed over the state fields kept since): every accepted
+    # state must keep its bits
     tool = _scan_tool()
     label = line.split()[0]
     monkeypatch.chdir(tmp_path)
@@ -485,8 +488,9 @@ def test_jacobian_built_once_per_accepted_iterate(zero_field_401):
 
 def test_zero_field_sweep_golden(zero_field_401):
     # recorded with the single-call kernel that built the residual, the
-    # Jacobian bands and the admissibility flag on every trial: the split
-    # leaves every Newton decision, and so every state float, unchanged
+    # Jacobian bands and the admissibility flag on every trial (and hashed
+    # over the state fields kept since): the split leaves every Newton
+    # decision, and so every state float, unchanged
     trace, _ = zero_field_401
     assert trace.termination == "divergence"
     assert trace.diverged_at == 0.6664897897875979
@@ -494,9 +498,9 @@ def test_zero_field_sweep_golden(zero_field_401):
     assert len(trace.states) == 14
     floats = [v for s in trace.states
               for v in (s.t, s.m_t, s.x_t, s.mass, s.residual, s.sup_psi, s.step,
-                        s.grad_margin, s.centering, s.gauge_defect)]
+                        s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats)).hexdigest()
-    assert digest == "539488cb6287688bfea22f417ca57fc27065e765a2c511611bc227fc784693bc"
+    assert digest == "23b25e0d50a2f62ed18986cf7fb8ae2a4416a4ab3c7e751d7a1b9d8742860c28"
 
 
 def test_zero_field_sweep_kernel_call_counts(zero_field_401):
@@ -523,22 +527,23 @@ def _b1_half_to_3():
 
 @pytest.mark.parametrize("sweep, expected", [
     # one density form and a nonzero field: the stencil's gradient is read
-    (_b1_half_to_3, "05f9750fa2c5a3d63f1d105d9a66099f4b69dc44241a04f21f8aee80c838d74a"),
+    (_b1_half_to_3, "6c87e943c3b15bcd4489e7a32401a4329fb899f4a065eee17feb66941456bfb5"),
     # no forms; the sweep ends with the gauge-deflated solve at t = 1
     (lambda: _soliton_sweep(synthetic_problem(from_vertices([(-1,), (2,)])), 401),
-     "f8363eca55d6ecef88b82a5601942184fbfdbfa142dca4c858713dab8b6bbde3"),
+     "d9fd13564fcd0fb7a0526c8c0f3eae797f7afe935936de3fc17a9bc208d004bb"),
     # zero field: the minimum point escapes the window after 20 states
     (lambda: continuity_sweep(_b1(Q(1, 4), 3), [0.0], ContinuityOptions(grid=401)),
-     "84e505f489ba4cb2b87bc7a6a5e75ac806fbec95ba3fc98e3a29923fb541afed"),
+     "ba53a0ac32ba391dbb07b913bb14ab272c368744617ccb95875397fdca7c487d"),
     # the step collapses at t = 0.999822 and the hop to t = 1 succeeds
     (lambda: _soliton_sweep(synthetic_problem(from_vertices([(Q(-5, 2),), (Q(1, 2),)])), 2001),
-     "4a800df60a9944c2e28530d1bbcee47337bad26993e79d50a2429bf5565ae88c"),
+     "3ef4fe39d7d2d94149d59c7b2b741613021b6cd2842fdcc221f8edec5d936812"),
     # the step collapses at t = 0.999822 and the hop fails: divergence.  This
     # outcome flips when xi moves in its last bits, so a change to the
     # soliton solve may move this pin without a change to the sweep
     (lambda: _soliton_sweep(synthetic_problem(from_vertices([(-3,), (Q(1, 2),)])), 2001),
-     "507b5aa595f74e61b28173916a611630f397359bb994cfd12c628a3f874694ce"),
-])
+     "b1eac79c6a55a71f01b5bc11fe888609a8ae7e411541ed5718d057738ca32380"),
+], ids=["b1[1/2,3]", "toric[-1,2]", "b1[1/4,3]-zero-field", "toric[-5/2,1/2]",
+        "toric[-3,1/2]"])
 def test_soliton_path_sweep_golden(sweep, expected):
     # every state float and the final potential's bytes; a diverged sweep
     # adds where it stopped and its last step
@@ -549,7 +554,7 @@ def test_soliton_path_sweep_golden(sweep, expected):
         assert trace.termination == "divergence"
     floats = [v for s in trace.states
               for v in (s.t, s.m_t, s.x_t, s.mass, s.residual, s.sup_psi, s.step,
-                        s.grad_margin, s.centering, s.gauge_defect)]
+                        s.gauge_defect)]
     digest = hashlib.sha256(struct.pack(f"<{len(floats)}d", *floats))
     digest.update(trace.u.tobytes())
     if trace.diverged_at is not None:
@@ -561,18 +566,21 @@ def test_estimate_requires_proper_trace(zero_field_401):
     trace = dataclasses.replace(zero_field_401[0], termination="newton_failure")
     with pytest.raises(MathValidationError):
         estimate_rm_numeric(trace)
+    # a sweep that reached t = 1 estimates R = 1 exactly
+    trace = dataclasses.replace(zero_field_401[0], termination="reached_t1")
+    assert estimate_rm_numeric(trace) == (1.0, 0.0)
 
 
 def test_sweep_diagnostics_a_priori(toric_m12, toric_m12_soliton):
-    trace = continuity_sweep(toric_m12, toric_m12_soliton, ContinuityOptions(grid=1201))
+    trace, accepted = accepted_sweep(toric_m12, toric_m12_soliton, ContinuityOptions(grid=1201))
     v, d0 = trace.volume, trace.d0
     assert d0 == 4.0  # max vertex norm of the gradient polytope [-4, 2]
-    for s in trace.states:
-        # gradient confinement up to the broken-symmetry defect of the
-        # gauge-deflated endpoint (zero away from t = 1)
-        assert s.grad_margin >= -1e-9 - 30.0 * s.gauge_defect
-        # discrete centering identity
-        assert abs(s.centering) <= 1e-3 * v
+    assert trace.reached_t1
+    for setup, u, s in accepted:
+        assert_gradient_confined(setup, u, s)
+        # Li's identity: 1.13e-4 at most on this grid (1.02e-3 at grid 401,
+        # 4.07e-5 at 2001, so O(h^2))
+        assert li_defect(toric_m12, setup, u, s.t) <= 3.5e-4
         # mass identity
         assert abs(s.mass - v) / v <= 1e-3
     sup_psis = [s.sup_psi for s in trace.states]
@@ -618,4 +626,14 @@ def test_two_dimensional_problem_rejected():
         with pytest.raises(MathValidationError) as info:
             call()
         assert info.value.condition == "dimension"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda hp: build_setup(hp, [0.0, 0.0], ContinuityOptions(grid=41)),
+     "soliton parameter has wrong dimension"),
+    (lambda hp: weighted_moments(hp, [0.0, 0.0]), "exponent vector has wrong dimension"),
+], ids=["build_setup", "weighted_moments"])
+def test_vector_of_wrong_dimension_rejected_on_r1(toric_m12, call, message):
+    with pytest.raises(MathValidationError, match=message):
+        call(toric_m12)
 

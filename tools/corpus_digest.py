@@ -7,9 +7,12 @@ and ``horofano all`` with ``--trace`` on ``intervals(seed, 16)`` and on the
 with ``--out``.  The generators come from ``perfbench/problems.py``, which
 is imported without writing bytecode there.
 
-Usage (from the repository root; the corpus takes a minute or two):
+Usage (the corpus takes a minute or two):
 
-    PYTHONPATH=src python tools/corpus_digest.py
+    python tools/corpus_digest.py
+
+Like ``tools/scan_1d.py``, the tool imports ``horofano`` from the ``src`` of
+its own checkout, which it puts first on ``sys.path``.
 
 One line per run has the same fields as a ``tools/scan_1d.py`` scan line:
 the problem, the command, the sweep's termination and accepted steps, and
@@ -26,8 +29,8 @@ import sys
 import tempfile
 
 sys.dont_write_bytecode = True
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from problems import boxes, intervals, mixed  # noqa: E402
 from scan_1d import _digest, run_one  # noqa: E402

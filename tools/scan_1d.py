@@ -6,9 +6,13 @@ and b in {5/4, 3/2, ..., 4}.  Each input runs ``horofano all`` and
 ``horofano continuity`` through ``horofano.cli.main`` at default options,
 with ``--out`` and ``--trace``.
 
-Usage (from the repository root; a full scan takes a few minutes):
+Usage (a full scan takes a few minutes):
 
-    PYTHONPATH=src python tools/scan_1d.py
+    python tools/scan_1d.py
+
+The tool imports ``horofano`` from the ``src`` of its own checkout, which
+it puts first on ``sys.path``, so a before/after run of two trees runs each
+tree's package.
 
 One line per input and command gives the input, the command, the sweep's
 termination and accepted steps, and the leading 16 hex digits of the
@@ -44,9 +48,12 @@ import tempfile
 import time
 from fractions import Fraction as Q
 
-from horofano import (HorofanoError, continuity_sweep, estimate_rm_numeric,
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from horofano import (HorofanoError, continuity_sweep, estimate_rm_numeric,  # noqa: E402
                       greatest_ricci_lower_bound)
-from horofano.cli import TRACE_COMMANDS, load_problem, main
+from horofano.cli import TRACE_COMMANDS, load_problem, main  # noqa: E402
 
 TORIC = {"factors": [], "torus_rank": 1}
 B1 = {"factors": [["B", 1]], "torus_rank": 0}
