@@ -65,7 +65,9 @@ class ContinuityOptions:
 
     ``tol`` is the sweep's absolute Newton test and nothing else: the soliton
     field is solved to its own fixed test (``soliton.RESIDUAL_TOL``) and the
-    moment quadrature runs one fixed schedule (``dh.weighted_moments``).
+    moment quadrature runs one fixed schedule (``dh.checked_moments``),
+    which the soliton Newton checks at its first trial and at the field it
+    returns.
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
     number (a numeric string included), a fractional grid, a grid outside

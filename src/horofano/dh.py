@@ -23,7 +23,11 @@ route per (degree, dimension), and the unit-simplex nodes and weights per
 (r, order).  Each ``weighted_moments`` call hands every simplex's stored
 nodes and weights, with the exponent, to ``kernels.quad_moments(points,
 weights, ell)``, and sums the per-simplex results with Neumaier's
-compensation (ZAMM 1974) over plain floats.  The stored nodes and weights
+compensation (ZAMM 1974) over plain floats.  ``checked_moments`` holds the
+order schedule and its check for both ``weighted_moments`` and the soliton
+Newton, which runs the check only where it can fail (at its first trial
+and at the field it returns) and evaluates every other field at the order
+it holds (``unchecked_moments``).  The stored nodes and weights
 take 1 + r floats per node per order: about 720 kB for the two orders of a
 B3 box (six simplices, orders 10 and 14).  The exact commands never build
 the float data, so coordinates beyond the float range fail only the float
@@ -320,7 +324,12 @@ class MomentData:
             table = []
             for verts in self.fverts:
                 pts, wts = _simplex_nodes(verts, m)
-                wd = wts * np.prod(pts @ self.fforms.T, axis=1)
+                # the density, folded column by column: the bits of
+                # np.prod(axis=1), without a reduction per node
+                dens = np.ones(len(pts))
+                for values in (pts @ self.fforms.T).T:
+                    dens *= values
+                wd = wts * dens
                 pts.flags.writeable = wd.flags.writeable = False
                 table.append((pts, wd))
             self._nodes[m] = table
@@ -333,33 +342,36 @@ def _moments_at(hp: HorosphericalProblem, ell: np.ndarray, m: int):
         [kernels.quad_moments(pts, wd, ell) for pts, wd in hp.moment_data.nodes(m)])
 
 
-def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
-    """Exponential-weighted moments of the density measure over the moment
-    polytope.
+def start_order(hp: HorosphericalProblem) -> int:
+    """The upper order of the first pair (m, m + 4) of the order schedule:
+    m is the density degree + ``DEFAULT_QUAD_EXTRA`` for r = 1 and the
+    degree + 4 for r >= 2."""
+    return hp.density.degree + (DEFAULT_QUAD_EXTRA if hp.moment.dim == 1 else 4) + 4
 
-    Integrates exp(<ell, p>) * density against 1, p and p (x) p.  The order-m
-    result is checked against order m+4, and m is raised by 8 until the
-    relative difference drops below ``DEFAULT_QUAD_REL_TOL``, with no order
-    above the density degree + ``DEFAULT_QUAD_EXTRA`` + ``MAX_ORDER_RAISE``
-    (degree + 48).  r = 1 starts at degree + ``DEFAULT_QUAD_EXTRA`` and
-    r >= 2 at degree + 4, so the r >= 2 schedule ends with the r = 1 pairs.
-    A 1-D call costs only about 45 nodes, and the 1-D continuity outcome can
-    move with the last bits of the soliton field, so r = 1 keeps the higher
-    start.  Moments beyond the float range, a non-finite entry of either
-    order of a pair, are at once a ``QuadratureError`` that says so.
+
+def checked_moments(hp: HorosphericalProblem, ell: np.ndarray, order: int | None = None,
+                    held=None) -> WeightedMoments:
+    """The order check of ``weighted_moments`` at the exponent ``ell``, a
+    float array: the order-m moments against order m + 4, m raised by 8
+    until the relative difference drops below ``DEFAULT_QUAD_REL_TOL``, with
+    no order above the density degree + ``DEFAULT_QUAD_EXTRA`` +
+    ``MAX_ORDER_RAISE`` (degree + 48).  The climb starts at the pair whose
+    upper order is ``order`` (default ``start_order``); ``held``, if given,
+    are the ``_moments_at`` moments at that order, already evaluated, so the
+    first pair evaluates only its lower order.  Moments beyond the float
+    range, a non-finite entry of either order of a pair, are at once a
+    ``QuadratureError`` that says so.
     """
-    r = hp.moment.dim
-    ell = np.asarray([float(x) for x in ell], dtype=np.float64)
-    if ell.shape != (r,):
-        raise MathValidationError("exponent vector has wrong dimension")
-    start = hp.density.degree + (DEFAULT_QUAD_EXTRA if r == 1 else 4)
+    order = start_order(hp) if order is None else order
     top = hp.density.degree + DEFAULT_QUAD_EXTRA + MAX_ORDER_RAISE
     last_err = float("inf")
     # moments beyond the float range overflow to inf and nan, which the
     # error estimate turns into the QuadratureError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(start, top - 3, 8):
-            lo, hi = _moments_at(hp, ell, m), _moments_at(hp, ell, m + 4)
+        for m in range(order - 4, top - 3, 8):
+            lo = _moments_at(hp, ell, m)
+            hi = _moments_at(hp, ell, m + 4) if held is None else held
+            held = None
             scale = max(abs(hi[0]), float(np.max(np.abs(hi[1]), initial=0.0)), 1e-300)
             # np.max keeps a nan wherever it sits (Python's max drops one
             # that is not its first argument), so a non-finite entry of
@@ -380,3 +392,34 @@ def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
     else:
         why = f"moments beyond the float range (error estimate {last_err})"
     raise QuadratureError(f"quadrature {why}", estimate=last_err)
+
+
+def unchecked_moments(hp: HorosphericalProblem, ell: np.ndarray, order: int):
+    """The order-``order`` (I0, I1, I2) at the exponent ``ell`` with no order
+    check.  Moments beyond the float range are checked at once against the
+    lower order of their pair: a non-finite entry makes the estimate
+    non-finite, so ``checked_moments`` raises its ``QuadratureError``."""
+    hi = _moments_at(hp, ell, order)
+    if not all(np.isfinite(x).all() for x in hi):
+        checked_moments(hp, ell, order, hi)
+    return hi
+
+
+def weighted_moments(hp: HorosphericalProblem, ell) -> WeightedMoments:
+    """Exponential-weighted moments of the density measure over the moment
+    polytope.
+
+    Integrates exp(<ell, p>) * density against 1, p and p (x) p, with the
+    order check of ``checked_moments`` from the first pair of the schedule
+    (``start_order``).  r = 1 starts at degree + ``DEFAULT_QUAD_EXTRA`` and
+    r >= 2 at degree + 4, so the r >= 2 schedule ends with the r = 1 pairs.
+    A 1-D call costs only about 45 nodes, and the 1-D continuity outcome can
+    move with the last bits of the soliton field, so r = 1 keeps the higher
+    start.  The soliton Newton runs this check only at its first trial
+    (``soliton.solve_soliton``).
+    """
+    r = hp.moment.dim
+    ell = np.asarray([float(x) for x in ell], dtype=np.float64)
+    if ell.shape != (r,):
+        raise MathValidationError("exponent vector has wrong dimension")
+    return checked_moments(hp, ell)

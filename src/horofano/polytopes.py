@@ -9,12 +9,15 @@ the simplex determinant compute in Python integers: points are scaled once
 by the lcm of their denominators (each facet inequality by its own), a
 candidate facet normal is the cross product of two integer edges (in 2-D
 the perpendicular of one), each distinct plane is tested once, with the
-side test stopping at the first points found on both sides, and vertices
-come from Cramer's rule, with one ``Fraction`` built per result entry.
+side test stopping at the first points found on both sides.  A vertex
+input keeps the points that lie on ``dim`` of its facets, and the vertices
+of a halfspace input come from Cramer's rule, with one ``Fraction`` built
+per result entry.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
@@ -157,6 +160,19 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Facet]:
     return sorted((tuple(Q(c) for c in n), Q(off, scale)) for n, off in facets)
 
 
+def _tight_points(facets, ints: list[tuple[int, ...]], scale: int):
+    """Per facet, its normal n and the indices of the points ``ints / scale``
+    (integer tuples, ``scaled_integers``) on it: each facet taken as coprime
+    integers (n, c) with n.x <= c, the point y = L x lies on it when
+    n.y = c L."""
+    out = []
+    for normal, offset in facets:
+        *n, c = coprime_integers((*normal, offset))[0]
+        tight = [i for i, y in enumerate(ints) if sum(a * b for a, b in zip(n, y)) == c * scale]
+        out.append((n, tight))
+    return out
+
+
 def _vertices_from_facets(facets: list[Facet], dim: int) -> list[Vec]:
     # each facet as coprime integers (n, c) with n.x <= c; Cramer's rule
     # gives a vertex x = y / d, feasible when n.y <= c d for d > 0
@@ -193,8 +209,11 @@ def from_vertices(points) -> Polytope:
             "points span a lower-dimensional set", condition="full_dimensional"
         )
     facets = _facets_from_points(pts, dim)
-    vertices = _vertices_from_facets(facets, dim)
-    return Polytope(dim=dim, vertices=tuple(vertices), facets=tuple(facets))
+    # for dim <= 3 a point of the polytope is a vertex exactly when it lies
+    # on dim of its facets (a point inside an edge of a 3-polytope lies on two)
+    counts = Counter(i for _, tight in _tight_points(facets, *scaled_integers(pts)) for i in tight)
+    vertices = tuple(p for i, p in enumerate(pts) if counts[i] >= dim)
+    return Polytope(dim=dim, vertices=vertices, facets=tuple(facets))
 
 
 def from_halfspaces(halfspaces) -> Polytope:
@@ -262,17 +281,14 @@ def triangulate(p: Polytope) -> list[Simplex]:
     vertex; simplices have disjoint interiors covering p.
 
     Incidence and polygon order are decided in the integer coordinates
-    y = L x (``scaled_integers``), each facet taken as coprime integers
-    (n, c) with n.x <= c, so a vertex lies on it when n.y = c L.
+    y = L x (``scaled_integers``, ``_tight_points``).
     """
     apex = p.vertices[0]
     if p.dim == 1:
         return [Simplex(vertices=p.vertices)]
     ints, scale = scaled_integers(p.vertices)
     simplices: list[Simplex] = []
-    for normal, offset in p.facets:
-        *n, c = coprime_integers((*normal, offset))[0]
-        tight = [i for i, y in enumerate(ints) if sum(a * b for a, b in zip(n, y)) == c * scale]
+    for n, tight in _tight_points(p.facets, ints, scale):
         if tight[0] == 0:  # the facet holds the apex
             continue
         if p.dim == 2:

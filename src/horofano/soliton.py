@@ -4,6 +4,16 @@ The field is the unique minimizer of the strictly convex weighted mass
 G(xi) = integral over the moment polytope of exp(-2<p - kappa, xi>) against
 the density measure; its gradient is -2 times the obstruction vector, so a
 damped Newton iteration from 0 converges globally.
+
+The Newton solve checks its quadrature order only where the check can fail
+(the schedule is ``dh.checked_moments``'s).  At xi = 0 it evaluates the
+upper order of the first pair alone: there the integrand is the density, a
+polynomial whose degree in each collapsed variable is at most the density
+degree + 2 + (r - 1), which both orders of that pair integrate exactly.
+The first line-search trial runs the full check (one ``weighted_moments``
+call), every later trial evaluates the order it settled on, and a field
+that meets the residual bound is checked against the lower order of that
+pair, climbing the schedule and iterating on where the check fails.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
+from . import dh
 from .dh import weighted_moments
 from .errors import SolverError
 from .problem import HorosphericalProblem
@@ -24,19 +35,32 @@ MAX_ITER = 100
 RESIDUAL_TOL = 1e-10
 
 
-def _moments_shifted(hp: HorosphericalProblem, xi: np.ndarray):
-    """I0, I1, I2 of exp(-2<p-kappa, xi>) dmu, as floats."""
-    kappa = np.array([float(c) for c in hp.kappa])
-    mom = weighted_moments(hp, -2.0 * xi)
+def _shifted(kappa: np.ndarray, xi: np.ndarray, raw):
+    """I0, I1, I2 of exp(-2<p-kappa, xi>) dmu from the moments ``raw`` of
+    exp(-2<p, xi>) dmu."""
     scale = float(np.exp(2.0 * kappa @ xi))
-    return scale * mom.i0, scale * mom.i1, scale * mom.i2
+    return scale * raw[0], scale * raw[1], scale * raw[2]
 
 
 def weighted_mass(hp: HorosphericalProblem, xi) -> float:
     """G(xi): the total density mass reweighted by exp(-2<p-kappa, xi>)."""
     xi = np.asarray(xi, dtype=np.float64)
-    i0, _, _ = _moments_shifted(hp, xi)
-    return i0
+    kappa = np.array([float(c) for c in hp.kappa])
+    return float(np.exp(2.0 * kappa @ xi)) * weighted_moments(hp, -2.0 * xi).i0
+
+
+def _newton_terms(kappa: np.ndarray, moments):
+    """G, F, the Hessian of G and |F| from the shifted moments; values
+    beyond the float range are a ``SolverError``."""
+    g, i1, i2 = moments
+    if not all(np.isfinite(m).all() for m in moments):
+        raise SolverError("quadrature moments beyond the float range")
+    f = i1 - kappa * g
+    hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
+    resid = float(np.linalg.norm(f))
+    if not (np.isfinite(resid) and np.isfinite(hess).all()):
+        raise SolverError(f"soliton F or Hessian beyond the float range (|F| = {resid:.3e})")
+    return g, f, hess, resid
 
 
 @dataclass(frozen=True)
@@ -50,7 +74,9 @@ class SolitonSolution:
 @np.errstate(over="ignore", invalid="ignore")
 def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
     """Damped Newton on G from xi = 0 until |F(xi)| <= RESIDUAL_TOL * volume,
-    in at most MAX_ITER steps; values beyond the float range are a ``SolverError``."""
+    in at most MAX_ITER steps, with the quadrature order checked where the
+    check can fail (module docstring); values beyond the float range are a
+    ``SolverError``."""
     r = hp.a1_dim
     kappa = np.array([float(c) for c in hp.kappa])
     try:
@@ -59,16 +85,20 @@ def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
         raise SolverError("density volume beyond the float range") from None
     bound = RESIDUAL_TOL * vol
     xi = np.zeros(r)
-    moments = _moments_shifted(hp, xi)
+    # raw: the moments of exp(-2<p, xi>) dmu at the held order; checked:
+    # whether an order check has passed at xi
+    order = dh.start_order(hp)
+    raw, checked, first_trial = dh.unchecked_moments(hp, -2.0 * xi, order), False, True
+    moments = _shifted(kappa, xi, raw)
     for it in range(MAX_ITER + 1):
-        g, i1, i2 = moments
-        if not all(np.isfinite(m).all() for m in moments):
-            raise SolverError("quadrature moments beyond the float range")
-        f = i1 - kappa * g
-        hess = 4.0 * (i2 - np.outer(kappa, i1) - np.outer(i1, kappa) + g * np.outer(kappa, kappa))
-        resid = float(np.linalg.norm(f))
-        if not (np.isfinite(resid) and np.isfinite(hess).all()):
-            raise SolverError(f"soliton F or Hessian beyond the float range (|F| = {resid:.3e})")
+        g, f, hess, resid = _newton_terms(kappa, moments)
+        if resid <= bound and not checked:
+            mom = dh.checked_moments(hp, -2.0 * xi, order, raw)
+            checked = True
+            if mom.order != order:
+                order, raw = mom.order, (mom.i0, mom.i1, mom.i2)
+                moments = _shifted(kappa, xi, raw)
+                g, f, hess, resid = _newton_terms(kappa, moments)
         if resid <= bound:
             return SolitonSolution(
                 xi=xi,
@@ -86,8 +116,14 @@ def solve_soliton(hp: HorosphericalProblem) -> SolitonSolution:
         lam = 1.0
         for _ in range(60):
             trial = xi + lam * step
+            if first_trial:
+                # the solve's one full check from the first pair
+                mom = weighted_moments(hp, -2.0 * trial)
+                order, raw, checked, first_trial = mom.order, (mom.i0, mom.i1, mom.i2), True, False
+            else:
+                raw, checked = dh.unchecked_moments(hp, -2.0 * trial, order), False
             # the accepted trial's moments are the next iterate's
-            moments = _moments_shifted(hp, trial)
+            moments = _shifted(kappa, trial, raw)
             if moments[0] <= g + ARMIJO_C * lam * slope + allowance:
                 break
             lam *= 0.5

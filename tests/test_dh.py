@@ -386,6 +386,11 @@ SPECS = {
         "levi_subset": [1, 2],
         "polytope": {"moment": {"vertices": _box_vertices((3, 3, 3), ("3/8", "1/2", "1/4"))}},
     },
+    "b3-levi0": {
+        "root_system": {"factors": [["B", 3]], "torus_rank": 0},
+        "levi_subset": [],
+        "polytope": {"moment": {"vertices": _box_vertices((5, 3, 1), ("1/2", "3/8", "1/4"))}},
+    },
     "a2-levi0": {
         "root_system": {"factors": [["A", 2]], "torus_rank": 0},
         "levi_subset": [],
@@ -572,25 +577,67 @@ def test_volume_and_barycenter_share_one_expansion(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["a2-levi1", "b3-levi12", "toric", "b1"])
 def test_soliton_evaluates_each_field_once(tmp_path, monkeypatch, name):
-    from horofano import soliton
+    from horofano import solve_soliton
 
     hp = _load(tmp_path, name)
-    ells = []
-    fn = soliton.weighted_moments
-
-    def recording(hp, ell):
-        ells.append(np.asarray(ell, dtype=np.float64).tobytes())
-        return fn(hp, ell)
-
-    monkeypatch.setattr(soliton, "weighted_moments", recording)
-    sol = soliton.solve_soliton(hp)
+    calls = _counting(monkeypatch, "_moments_at")
+    sol = solve_soliton(hp)
     assert sol.iterations > 0
+    evals = [(np.asarray(ell, dtype=np.float64).tobytes(), m) for _, ell, m in calls]
+    # no (field, order) pair is evaluated twice
+    assert len(set(evals)) == len(evals)
     # every Newton step on these inputs is accepted at full length, so the
-    # line-search trials are the iterations; the first call is at xi = 0 and
-    # the last at the returned field
-    assert len(set(ells)) == len(ells) == 1 + sol.iterations
-    assert not np.any(np.frombuffer(ells[0]))
-    assert ells[-1] == (-2.0 * sol.xi).tobytes()
+    # line-search trials are the iterations: the fields are xi = 0, the
+    # first trial, ..., the returned field, in the order of evaluation
+    fields = list(dict.fromkeys(f for f, _ in evals))
+    assert len(fields) == 1 + sol.iterations
+    assert not np.any(np.frombuffer(fields[0]))
+    assert fields[-1] == (-2.0 * sol.xi).tobytes()
+    # the first pair passes on these inputs, so the held order is its upper
+    # one; every field is evaluated once at it, and the lower order only at
+    # the first trial (the full check) and at the returned field
+    held = dh.start_order(hp)
+    for i, field in enumerate(fields):
+        checked = i in (1, len(fields) - 1)
+        assert sorted(m for f, m in evals if f == field) == ([held - 4] if checked else []) + [held]
+
+
+def test_soliton_climbs_the_schedule_once(tmp_path, monkeypatch):
+    # the B3 Levi {1,2} box [21/8,27/8] x [5/2,7/2] x [11/4,13/4] with the
+    # vertex (21/8, 5/2, 13/4) moved to z = 85: the held order climbs from 14
+    # to 54 during the solve, and a climb that restarted at the first pair on
+    # every trial evaluated 146 orders
+    from horofano.cli import load_problem, main
+
+    verts = [list(v) for v in itertools.product(("21/8", "27/8"), ("5/2", "7/2"),
+                                                ("11/4", "13/4"))]
+    verts[verts.index(["21/8", "5/2", "13/4"])][2] = "85"
+    spec = {"root_system": {"factors": [["B", 3]], "torus_rank": 0}, "levi_subset": [1, 2],
+            "polytope": {"moment": {"vertices": verts}}}
+    path, out = tmp_path / "moved.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec))
+    calls = _counting(monkeypatch, "_moments_at")
+    assert main(["soliton", "--input", str(path), "--out", str(out)]) == 0
+    assert len(calls) <= 48
+    assert max(m for _, _, m in calls) == 54
+    report = json.loads(out.read_text())
+    assert report["soliton_residual"] <= 1e-10 * float(load_problem(str(path)).hp.volume)
+
+
+@pytest.mark.parametrize("name", ["toric", "b1", "a2-levi1", "a2-levi0", "b3-levi12"])
+def test_first_pair_is_exact_at_the_zero_field(tmp_path, name):
+    # At xi = 0 the integrand is the density times 1, p or p (x) p on each
+    # simplex, a polynomial of degree at most deg + 2 in p; the collapse of
+    # the unit simplex adds a Jacobian of degree at most r - 1 in each
+    # collapsed variable.  Gauss-Legendre with m nodes is exact to degree
+    # 2m - 1, and the lower order of the first pair is m = deg + 4 for
+    # r >= 2 (deg + 20 for r = 1), so 2m - 1 >= deg + 2 + (r - 1) for r <= 3:
+    # both orders integrate it exactly, and their check can only pass.  The
+    # soliton therefore evaluates the upper order alone at xi = 0.
+    hp = _load(tmp_path, name)
+    m = dh.checked_moments(hp, np.zeros(hp.a1_dim))
+    assert m.order == dh.start_order(hp)
+    assert m.rel_error <= 1e-13
 
 
 def test_second_call_at_a_seen_order_builds_no_weights(tmp_path, monkeypatch):
@@ -604,11 +651,13 @@ def test_second_call_at_a_seen_order_builds_no_weights(tmp_path, monkeypatch):
     assert m.order == 14 and nodes == [] and mapped == []
 
 
-@pytest.mark.parametrize("name", ["a2-levi1", "b3-levi12"])
+@pytest.mark.parametrize("name", ["a2-levi1", "b3-levi12", "b3-levi0"])
 def test_stored_nodes_are_the_per_call_mapping_bitwise(tmp_path, name):
     # the moments from the stored nodes against nodes mapped afresh from the
     # unit table on every call, through the same kernel and compensated sum,
-    # at both orders of the accepted pair and at two exponents
+    # at both orders of the accepted pair and at two exponents; the stored
+    # density is folded column by column, the reference reduces each row
+    # with np.prod (B3 Levi {} has nine forms)
     hp = _load(tmp_path, name)
     data = hp.moment_data
     for ell in (np.zeros(3), np.array([0.3, -0.2, 0.1])):

@@ -1,6 +1,7 @@
 """The integer routes of the exact core against the ``Fraction`` routes of
 ``exact_reference``: equal values, and ``Fraction``s throughout."""
 
+import random
 from fractions import Fraction as Q
 from itertools import chain, combinations
 
@@ -19,6 +20,8 @@ from horofano import (
 )
 from horofano.dh import _integer_forms, _monomial_weights, _simplex_mass_moments
 from horofano.errors import MathValidationError
+from horofano.polytopes import _vertices_from_facets
+from horofano.rationals import vdot
 
 # small integers, halves and thirds, and denominators up to 10^6
 COORDS = st.one_of(
@@ -68,8 +71,41 @@ def test_from_vertices_matches_the_fraction_route(pts):
     p = from_vertices(pts)
     vertices, facets = ref.from_vertices(pts)
     assert p.vertices == vertices and p.facets == facets
+    # the facet count keeps the vertices that Cramer's rule finds
+    assert list(p.vertices) == _vertices_from_facets(list(p.facets), dim)
     assert _all_fractions(p.vertices)
     assert _all_fractions(n for n, _ in p.facets) and _all_fractions([[o for _, o in p.facets]])
+
+
+def _centroid(points):
+    return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+def test_facet_count_keeps_the_cramer_vertices():
+    # seeded hulls in dims 1-3 fed again with their centroid (interior), the
+    # centroid of each facet's vertices (inside the facet; in 3-D also a
+    # point of two facets' common edge) and duplicates: the points that lie
+    # on dim facets are the vertices Cramer's rule finds from the facets
+    rng = random.Random(30)
+    checked = 0
+    while checked < 300:
+        dim = rng.randint(1, 3)
+        pts = [tuple(Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+               for _ in range(rng.randint(dim + 1, dim + 5))]
+        if ref.rank(pts) < dim:
+            continue
+        hull = from_vertices(pts)
+        faces = [[v for v in hull.vertices if vdot(n, v) == off] for n, off in hull.facets]
+        extra = [_centroid(hull.vertices), *map(_centroid, faces), *rng.sample(pts, 2)]
+        if dim == 3:
+            extra += [_centroid(sorted(set(a) & set(b))) for a, b in combinations(faces, 2)
+                      if len(set(a) & set(b)) == 2]
+        points = pts + extra
+        rng.shuffle(points)
+        p = from_vertices(points)
+        assert p.vertices == hull.vertices and p.facets == hull.facets
+        assert list(p.vertices) == _vertices_from_facets(list(p.facets), dim)
+        checked += 1
 
 
 @settings(deadline=None, max_examples=60)

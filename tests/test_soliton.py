@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 from horofano import (
+    MathValidationError,
     from_vertices,
+    greatest_ricci_lower_bound,
     kahler_einstein_test,
     solve_soliton,
     synthetic_problem,
@@ -183,3 +186,67 @@ def test_futaki_translation_invariance_toric():
         assert abs(
             futaki_vector(base, [xi])[0] - futaki_vector(shifted, [xi])[0]
         ) < 1e-11
+
+
+def _unimodular(rng, r):
+    """A product of elementary shears and a signed permutation with entries
+    of at most 2 in absolute value: an integer matrix of determinant +-1."""
+    while True:
+        a = np.eye(r, dtype=np.int64)
+        for _ in range(3):
+            i, j = rng.sample(range(r), 2)
+            shear = np.eye(r, dtype=np.int64)
+            shear[i, j] = rng.choice((-1, 1))
+            a = shear @ a
+        a = a[rng.sample(range(r), r)] * np.array([rng.choice((-1, 1)) for _ in range(r)])[:, None]
+        if np.abs(a).max() <= 2:
+            return [[int(c) for c in row] for row in a]
+
+
+def _apply(a, v):
+    return tuple(sum(Q(x) * y for x, y in zip(row, v)) for row in a)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_soliton_is_sl_r_z_equivariant(r):
+    # p -> A p with A in SL(r, Z) (up to sign) maps the problem (P, kappa, F)
+    # to (A P, A kappa, F A^-1): the density values and the Lebesgue measure
+    # are kept, so V, R and the Einstein flag are equal, the barycenter is
+    # A b, and <A p - A kappa, xi'> = <p - kappa, A^T xi'> gives
+    # xi' = A^-T xi.  Hulls of random points, so the order checks of the
+    # solve run on geometry other than boxes.
+    rng = random.Random(3000 + r)
+    einstein = []
+    for case in range(10):
+        pts = [tuple(Q(rng.randint(4, 16), 4) for _ in range(r)) for _ in range(r + 4)]
+        forms = [tuple(rng.randint(0, 2) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+        forms = [f for f in forms if any(f)]
+        if case == 0:
+            # point symmetric about the vertex mean with no forms: Einstein
+            pts += [tuple(4 - c for c in p) for p in pts]
+            forms = []
+        try:
+            poly = from_vertices(pts)
+        except MathValidationError:
+            continue
+        # the vertex mean weighs every vertex positively, so it is interior
+        kappa = tuple(sum(c) / len(poly.vertices) for c in zip(*poly.vertices))
+        a = _unimodular(rng, r)
+        inv = np.linalg.inv(np.array(a, dtype=float)).round().astype(int)
+        assert (np.array(a) @ inv == np.eye(r, dtype=int)).all()
+        base = synthetic_problem(poly, kappa=kappa, forms=forms)
+        moved = synthetic_problem(
+            from_vertices([_apply(a, v) for v in poly.vertices]),
+            kappa=_apply(a, kappa),
+            forms=[_apply(inv.T.tolist(), f) for f in forms],
+        )
+        assert moved.volume == base.volume
+        assert moved.barycenter == _apply(a, base.barycenter)
+        assert (greatest_ricci_lower_bound(moved).t_infinity
+                == greatest_ricci_lower_bound(base).t_infinity)
+        einstein.append(kahler_einstein_test(base)[0])
+        assert kahler_einstein_test(moved)[0] == einstein[-1]
+        xi, xi_moved = solve_soliton(base).xi, solve_soliton(moved).xi
+        want = np.linalg.solve(np.array(a, dtype=float).T, xi)
+        assert np.linalg.norm(xi_moved - want) <= 1e-8 * max(np.linalg.norm(xi), 1.0)
+    assert einstein[0] and len(einstein) >= 8
