@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="problem JSON file")
     parser.add_argument("--out", help="write the report JSON here")
     parser.add_argument("--trace", help="write the continuity trace CSV here")
-    parser.add_argument("--tol", type=float, help="continuity Newton tolerance override")
     parser.add_argument("--grid", type=int, help="grid points per axis override")
     parser.add_argument("--t0", type=float, help="continuity start parameter override")
     return parser

@@ -43,11 +43,9 @@ from .rationals import vdot
 from .soliton import weighted_mass
 
 MAX_NEWTON = 60  # Newton iterations per solve at one t
+NEWTON_TOL = 1e-9  # the absolute max-norm test of a converged Newton iterate
 # the largest grid a run may ask for, far above the finest grid a study uses
 GRID_MAX = 10**6
-# the loosest residual tolerance a run may ask for, with room for the
-# tol = 1e-7 grid-refinement studies
-TOL_MAX = 1e-6
 # the t-step schedule of the sweep: the step after the t0 state, the largest
 # and smallest steps, and the share of the box the minimum point may reach
 STEP0, MAX_STEP, MIN_STEP = 0.05, 0.1, 1e-4
@@ -55,29 +53,25 @@ WINDOW = 0.8
 _BOUNDS = {
     "grid": (11, GRID_MAX),
     "t0": (0, 1),
-    "tol": (0, TOL_MAX),
 }
 
 
 @dataclass(frozen=True)
 class ContinuityOptions:
-    """Grid, start and Newton tolerance of the continuity sweep.
+    """Grid and start of the continuity sweep.
 
-    ``tol`` is the sweep's absolute Newton test and nothing else: the soliton
-    field is solved to its own fixed test (``soliton.RESIDUAL_TOL``) and the
-    moment quadrature runs one fixed schedule (``dh.checked_moments``),
-    which the soliton Newton checks at its first trial and at the field it
-    returns.
+    Every test is fixed: the sweep's Newton solves to ``NEWTON_TOL``, the
+    soliton field to ``soliton.RESIDUAL_TOL``, and the moment quadrature
+    runs one schedule (``dh.checked_moments``).
     Every field is checked once, on construction (``dataclasses.replace``
     included), and converted to its type: a value that is not a finite
     number (a numeric string included), a fractional grid, a grid outside
-    [11, GRID_MAX], t0 outside (0, 1] or tol outside (0, TOL_MAX] is a
-    ``SchemaError`` naming the option.
+    [11, GRID_MAX] or t0 outside (0, 1] is a ``SchemaError`` naming the
+    option.
     """
 
     grid: int = 2001
     t0: float = 0.1
-    tol: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
@@ -291,17 +285,25 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
     that mode (a bordered solve) and excludes the rank-one broken-symmetry
     defect, which cannot be reduced at the given grid spacing, from the
     convergence test; it is reported separately as ``gauge_defect``.
+
+    An iterate converges when the max-norm of its residual is at most
+    ``NEWTON_TOL``.  Only an iterate that takes a step solves for one: the
+    converged iterate and the iterate at the ``MAX_NEWTON`` cap do not.
+    Convexity and gradient confinement are tested on the initial iterate and
+    on the converged one; the line search gates on the merit alone, since
+    transient tail dips at rounding scale would otherwise block legitimate
+    steps.  Every failure is a ``SolverError``; the one return is the
+    converged iterate.
     """
     # rejected trials may overflow their merit, and the gauge split of an
     # overflowed residual is NaN; the kernels run in this error state, entered
     # once per solve, as entering it costs a sizable share of a trial
     with np.errstate(over="ignore", invalid="ignore"):
-        opts = setup.options
         ref = (1.0 - t) * setup.u0  # the reference term of w, fixed for the solve
         u = _rebalance(setup, t, init, ref)
 
-        # every line-search trial evaluates the residual; the Jacobian bands and
-        # the admissibility flag are built only for the iterates it accepts
+        # every line-search trial evaluates the residual; the Jacobian bands are
+        # built only for the iterates it accepts
         def residual(vec, uext=None):
             return kernels.residual_1d(vec, ref, setup.h, t, setup.xi, setup.bcoef,
                                        setup.boff, setup.qlo, setup.qhi, setup.invc, uext)
@@ -315,8 +317,7 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
             )))
 
         f, parts = residual(u)
-        ok = admissible(parts)
-        if not ok:
+        if not admissible(parts):
             raise SolverError("initial iterate inadmissible")
         lo, di, up = jacobian(parts)
 
@@ -349,34 +350,22 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
             # translation symmetry is exact and the grid-level defect cannot be
             # reduced; below t = 1 the translation carries real physics (the
             # continuation handles stiffness by shrinking the t-step instead)
-            delta_plain = kernels.thomas(lo, di, up, -f)
             if t >= 1.0:
                 gauge = singular_pair(lo, di, up)
             f_red, defect = split(f)
             rnorm = float(np.max(np.abs(f_red)))
-            if rnorm <= opts.tol:
-                if not ok:
-                    # the state solves the equation modulo the broken-symmetry
-                    # defect, so its curvature is clean only to the same scale
-                    ok = admissible(parts, 20.0 * abs(defect) * setup.c_norm)
-                if not ok:
-                    raise SolverError(
-                        "converged state violates convexity or gradient confinement")
-                return u, rnorm, it, abs(defect)
-            if it == MAX_NEWTON:
+            if rnorm <= NEWTON_TOL:
                 break
+            if it == MAX_NEWTON:
+                raise SolverError(f"Newton stagnated at residual {rnorm:.3e}")
             merit = 0.5 * float(f_red @ f_red)
             allowance = 4.0 * np.finfo(float).eps * merit
-            if gauge is None:
-                delta = delta_plain
-            else:
+            delta = kernels.thomas(lo, di, up, -f)
+            if gauge is not None:
                 g, c_vec = gauge
                 sol_g = kernels.thomas(lo, di, up, g)
-                s = float(c_vec @ delta_plain) / float(c_vec @ sol_g)
-                delta = delta_plain - s * sol_g
-            # the line search gates on the merit alone; convexity and gradient
-            # confinement are verified on the converged state (transient tail
-            # dips at rounding scale would otherwise block legitimate steps)
+                s = float(c_vec @ delta) / float(c_vec @ sol_g)
+                delta = delta - s * sol_g
             lam = 1.0
             for _ in range(22):
                 # the trial u + lam * delta, built in its stencil's ghost buffer
@@ -389,12 +378,15 @@ def _newton_1d(setup: ContinuitySetup, t: float, init: np.ndarray):
                 if merit_t <= merit * (1.0 - 2e-4 * lam) + allowance:
                     u, f, parts = trial, f_t, parts_t
                     lo, di, up = jacobian(parts)
-                    ok = admissible(parts)
                     break
                 lam *= 0.5
             else:
                 raise SolverError("Newton line search stagnated")
-        raise SolverError(f"Newton stagnated at residual {rnorm:.3e}")
+        # the state solves the equation modulo the broken-symmetry defect, so
+        # its curvature is clean only to the same scale
+        if not (admissible(parts) or admissible(parts, 20.0 * abs(defect) * setup.c_norm)):
+            raise SolverError("converged state violates convexity or gradient confinement")
+        return u, rnorm, it, abs(defect)
 
 
 def _state_1d(setup: ContinuitySetup, t: float, u: np.ndarray, step: float, rnorm: float,

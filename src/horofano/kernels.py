@@ -5,8 +5,9 @@ A 1-D Newton step does only the work that sets its bits.  Each line-search
 trial is built in the ghost buffer of ``stencil_1d`` and costs one
 ``residual_1d``: the second difference (and, where something reads it, the
 centred gradient) in place, then the exponential term, whose reference part
-(1 - t) u0 is blended once per solve.  The Jacobian bands and the
-admissibility mask are built from its parts only for accepted iterates.
+(1 - t) u0 is blended once per solve.  The Jacobian bands are built from
+its parts only for accepted iterates, the admissibility mask only for the
+initial and the converged iterate of a solve.
 With no soliton field and no density forms (the zero-field toric path)
 neither the residual nor the bands form the gradient terms, which would be
 multiplied by zero.  The kernels run in the caller's numpy error state

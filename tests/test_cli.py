@@ -263,7 +263,8 @@ def test_report_determinism_two_runs(tmp_path):
 
 
 # option names retired into module constants: each is an unknown option
-RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_tol", "quad_order")
+RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_tol", "quad_order",
+                   "tol")
 
 
 @pytest.mark.parametrize("options,flags,name", [
@@ -304,15 +305,19 @@ RETIRED_OPTIONS = ("box", "step0", "max_step", "min_step", "window", "quad_rel_t
     ({}, ["--grid", "100000000000000000000"], "grid"),
     ({"box": 1e300}, [], "box"),
     ({"box": 1e-300}, [], "box"),
-    # above TOL_MAX: a tolerance that accepts any state solves nothing
+    # tol is retired whatever its value, its former default and bound
+    # included, and so is its flag
     ({"tol": 1e300}, [], "tol"),
     ({}, ["--tol", "1"], "tol"),
+    ({"tol": 1e-9}, [], "tol"),
+    ({"tol": 1e-6}, [], "tol"),
+    ({}, ["--tol", "1e-9"], "tol"),
 ])
 def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
     spec = dict(TORIC_M12)
     spec["options"] = dict(TORIC_M12["options"], **options)
     argv = ["continuity", "--input", write(tmp_path, spec), *flags]
-    if flags and flags[0] in ("--box", "--quad-order"):
+    if flags and flags[0] in ("--box", "--quad-order", "--tol"):
         # no such flag: argparse exits 2 before any input is read
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -328,12 +333,10 @@ def test_continuity_options_validated(tmp_path, capsys, options, flags, name):
         assert err.count("\n") == 1
 
 
-def test_three_options_each_with_its_flag():
-    assert sorted(cli.OPTION_NAMES) == ["grid", "t0", "tol"]
-    args = cli.build_parser().parse_args(
-        ["all", "--input", "p.json", "--grid", "11", "--t0", "1", "--tol", "1e-7"]
-    )
-    assert [getattr(args, name) for name in ("grid", "t0", "tol")] == [11, 1.0, 1e-7]
+def test_two_options_each_with_its_flag():
+    assert sorted(cli.OPTION_NAMES) == ["grid", "t0"]
+    args = cli.build_parser().parse_args(["all", "--input", "p.json", "--grid", "11", "--t0", "1"])
+    assert [getattr(args, name) for name in ("grid", "t0")] == [11, 1.0]
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
@@ -351,23 +354,6 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("usage: horofano ")
         assert err.endswith("error: unrecognized arguments: --box 1\n")
-
-
-def _soliton_report(tmp_path, command, flags):
-    out = tmp_path / f"{command}{len(flags)}.json"
-    assert main([command, "--input", write(tmp_path, TORIC_M12), "--out", str(out),
-                 *flags]) == 0
-    report = json.loads(out.read_text())
-    return [report[key] for key in ("xi", "soliton_residual", "soliton_iterations")]
-
-
-def test_tol_tunes_only_the_sweep(tmp_path):
-    # the soliton is solved to its own fixed test whatever tol says: an
-    # explicit tol leaves xi, its residual and its iterations alone, and a
-    # tol far below the soliton's attainable residual still solves it
-    default = _soliton_report(tmp_path, "all", [])
-    assert _soliton_report(tmp_path, "all", ["--tol", "1e-7"]) == default
-    assert _soliton_report(tmp_path, "soliton", ["--tol", "1e-18"]) == default
 
 
 def test_cli_import_loads_no_scipy():

@@ -70,11 +70,9 @@ def state_at(hp, t, xi, options):
 def test_options_bound_the_grid_and_its_step():
     # the constructor only: no grid is allocated
     assert ContinuityOptions(grid=continuity.GRID_MAX).grid == continuity.GRID_MAX
-    assert ContinuityOptions(tol=continuity.TOL_MAX).tol == continuity.TOL_MAX
     for kwargs, name in [
         ({"grid": continuity.GRID_MAX + 1}, "grid"),
         ({"grid": 1e20}, "grid"),
-        ({"tol": 2 * continuity.TOL_MAX}, "tol"),
     ]:
         with pytest.raises(SchemaError) as err:
             ContinuityOptions(**kwargs)
@@ -175,6 +173,20 @@ def test_scan_tool_inputs_and_line(scan_1d, tmp_path, monkeypatch):
     assert tool.zero_field_one("toric[-1,2]", dict(inputs)["toric[-1,2]"]) == (
         "toric[-1,2] zero-field divergence 14 0.6664131924768069 no 3274d3e4e0dcbc7b"
     )
+
+
+def test_scan_tool_theorem_classifier(tmp_path, monkeypatch):
+    # the exact layer alone, no sweep: exactly 9 of the 112 scan inputs have
+    # R = 1, the 8 Einstein tori [-a, a] and B1 [0, 3/2], so the theorem has
+    # the zero-field path reach t = 1 on those 9 and diverge on the other 103
+    tool = _scan_tool()
+    monkeypatch.chdir(tmp_path)
+    ends = {label: tool.theorem_termination(tool.exact_r(spec))
+            for label, spec in tool.scan_inputs()}
+    assert len(ends) == 112
+    reached = {label for label, end in ends.items() if end == "reached_t1"}
+    assert reached == {f"toric[-{Q(k, 2)},{Q(k, 2)}]" for k in range(1, 9)} | {"B1[0,3/2]"}
+    assert list(ends.values()).count("divergence") == 103
 
 
 @pytest.mark.parametrize("line", [
@@ -437,19 +449,32 @@ def test_sweep_interval_m14_estimate():
 @pytest.fixture(scope="module")
 def zero_field_401(toric_m12):
     """The zero-field sweep of [-1, 2] at grid 401 with its kernel calls
-    counted: residual evaluations, Jacobian assemblies, Newton solves, and
-    accepted iterates, found by replaying the line search's acceptance rule
-    (no gauge deflation below t = 1) on the residuals it sees."""
-    counts = {"residuals": 0, "jacobians": 0, "solves": 0, "accepted": 0}
+    counted: residual evaluations, Jacobian assemblies, tridiagonal solves,
+    admissibility tests, Newton solves by how each ended (converged or the
+    ``SolverError`` it raised), and accepted iterates, found by replaying the
+    line search's acceptance rule (no gauge deflation below t = 1) on the
+    residuals it sees."""
+    counts = {"residuals": 0, "jacobians": 0, "solves": 0, "accepted": 0, "thomas": 0,
+              "admissible": 0, "ends": {}}
     search = {}
-    residual_1d, jacobian_1d, newton_1d = (
-        kernels.residual_1d, kernels.jacobian_1d, continuity._newton_1d
+    residual_1d, jacobian_1d, thomas, admissible_1d, newton_1d = (
+        kernels.residual_1d, kernels.jacobian_1d, kernels.thomas, kernels.admissible_1d,
+        continuity._newton_1d,
     )
 
     def newton(*args, **kwargs):
         counts["solves"] += 1
         search.clear()
-        return newton_1d(*args, **kwargs)
+        try:
+            result = newton_1d(*args, **kwargs)
+        except SolverError as exc:
+            end = str(exc).split(" at residual")[0]
+            raise
+        else:
+            end = "converged"
+        finally:
+            counts["ends"][end] = counts["ends"].get(end, 0) + 1
+        return result
 
     def residual(*args, **kwargs):
         f, parts = residual_1d(*args, **kwargs)
@@ -470,10 +495,20 @@ def zero_field_401(toric_m12):
         counts["jacobians"] += 1
         return jacobian_1d(*args, **kwargs)
 
+    def solve(*args, **kwargs):
+        counts["thomas"] += 1
+        return thomas(*args, **kwargs)
+
+    def admissible(*args, **kwargs):
+        counts["admissible"] += 1
+        return admissible_1d(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuity, "_newton_1d", newton)
         mp.setattr(kernels, "residual_1d", residual)
         mp.setattr(kernels, "jacobian_1d", jacobian)
+        mp.setattr(kernels, "thomas", solve)
+        mp.setattr(kernels, "admissible_1d", admissible)
         trace = continuity_sweep(toric_m12, [0.0], ContinuityOptions(grid=401))
     return trace, counts
 
@@ -484,6 +519,20 @@ def test_jacobian_built_once_per_accepted_iterate(zero_field_401):
     assert counts["accepted"] > 0
     assert counts["jacobians"] == counts["accepted"] + counts["solves"]
     assert counts["jacobians"] < counts["residuals"]
+
+
+def test_newton_solves_only_for_a_step_it_takes(zero_field_401):
+    # one tridiagonal solve per step taken, an accepted iterate or a failed
+    # line search, and none on a converged iterate or at the MAX_NEWTON cap;
+    # admissibility is tested on each solve's initial iterate and on its
+    # converged iterate only (every solve is below t = 1, so no gauge pair)
+    trace, counts = zero_field_401
+    ends = counts["ends"]
+    assert trace.diverged_at < 1.0
+    assert sum(ends.values()) == counts["solves"]
+    assert set(ends) == {"converged", "Newton line search stagnated", "Newton stagnated"}
+    assert counts["thomas"] == counts["accepted"] + ends["Newton line search stagnated"]
+    assert counts["admissible"] == counts["solves"] + ends["converged"]
 
 
 def test_zero_field_sweep_golden(zero_field_401):

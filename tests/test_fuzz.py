@@ -41,7 +41,7 @@ BASES = [
      "polytope": {"moment": {"vertices": [["-1"], ["2"]]}}, "options": {"grid": 101}},
     {"root_system": {"factors": [["B", 1]], "torus_rank": 0}, "levi_subset": [],
      "polytope": {"moment": {"vertices": [["1/2"], ["3"]]}},
-     "options": {"grid": 101, "t0": 0.2, "tol": 1e-9}},
+     "options": {"grid": 101, "t0": 0.2}},
     {"root_system": {"factors": [["A", 1]], "torus_rank": 0}, "levi_subset": [],
      "polytope": {"Q": {"vertices": SQUARE}}},
     {"root_system": {"factors": [], "torus_rank": 2}, "levi_subset": [],

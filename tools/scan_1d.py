@@ -30,6 +30,15 @@ diverged after an accepted state), and the leading 16 hex digits of the
 sha256 of the accepted state tuples.  The ``zero-field digest`` line is the
 sha256 of those lines.
 
+After the two digest lines come two theorem lines, which count the inputs
+whose sweep ends as the theorem says (Chi Li's, carried over by the paper;
+``theorem_termination``).  On the soliton path every input reaches t = 1:
+the ``soliton-path theorem`` line counts the inputs whose ``all`` and
+``continuity`` runs both end ``reached_t1``.  On the zero field the path
+reaches t = 1 exactly when the exact R is 1 and diverges at t = R
+otherwise: the ``zero-field theorem`` line counts the terminations that
+match and, separately, the brackets that contain R.
+
 Each section's wall time goes to standard error, outside the digested
 lines, so a change to the 1-D solver reads its before and after from the
 scan it already runs.
@@ -90,12 +99,16 @@ def _read(path: str) -> bytes:
         return b""
 
 
+def _write_input(spec: dict) -> None:
+    with open("input.json", "w", encoding="utf-8") as fh:
+        json.dump(spec, fh, sort_keys=True)
+
+
 def run_one(label: str, spec: dict, command: str) -> str:
     """The scan line of one command on one input, run in the current
     directory with relative paths, so the report names no temporary path;
     ``--trace`` goes only to a command that runs the sweep."""
-    with open("input.json", "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, sort_keys=True)
+    _write_input(spec)
     for name in ("report.json", "trace.csv"):
         if os.path.exists(name):
             os.remove(name)
@@ -114,8 +127,7 @@ def run_one(label: str, spec: dict, command: str) -> str:
 def zero_field_one(label: str, spec: dict) -> str:
     """The zero-field line of one input, loaded from ``input.json`` in the
     current directory."""
-    with open("input.json", "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, sort_keys=True)
+    _write_input(spec)
     hp = load_problem("input.json").hp
     trace = continuity_sweep(hp, [0.0])
     try:
@@ -129,6 +141,36 @@ def zero_field_one(label: str, spec: dict) -> str:
     states = repr([dataclasses.astuple(s) for s in trace.states]).encode()
     return " ".join([label, "zero-field", trace.termination, str(len(trace.states)),
                      estimate, contains, _short(states)])
+
+
+def exact_r(spec: dict) -> Q:
+    """The exact greatest Ricci lower bound R of one input, loaded from
+    ``input.json`` in the current directory."""
+    _write_input(spec)
+    return greatest_ricci_lower_bound(load_problem("input.json").hp).t_infinity
+
+
+def theorem_termination(exact: Q) -> str:
+    """The termination of the zero-field path that the theorem gives: it
+    reaches t = 1 exactly when R = 1 and diverges at t = R otherwise."""
+    return "reached_t1" if exact == 1 else "divergence"
+
+
+def theorem_lines(scan: list[str], zero_field: list[str], exact: dict) -> list[str]:
+    """The two theorem lines, read off the scan and zero-field lines with
+    the exact R of every input."""
+    reached = {}
+    for line in scan:
+        label, _, termination = line.split()[:3]
+        reached[label] = reached.get(label, True) and termination == "reached_t1"
+    matched = brackets = 0
+    for line in zero_field:
+        label, _, termination, _, _, contains = line.split()[:6]
+        matched += termination == theorem_termination(exact[label])
+        brackets += contains == "yes"
+    return [f"soliton-path theorem {sum(reached.values())}/{len(reached)} reached_t1",
+            f"zero-field theorem {matched}/{len(zero_field)} terminations, "
+            f"{brackets} brackets contain R"]
 
 
 def _section(name: str, lines_of) -> list[str]:
@@ -159,8 +201,16 @@ def main_scan() -> int:
     commands = ("all", "continuity")
     scan = _section("scan", lambda label, spec: [run_one(label, spec, c) for c in commands])
     print("scan digest", _digest(scan))
-    zero_field = _section("zero-field", lambda label, spec: [zero_field_one(label, spec)])
+    exact = {}
+
+    def zero_field_lines(label, spec):
+        exact[label] = exact_r(spec)
+        return [zero_field_one(label, spec)]
+
+    zero_field = _section("zero-field", zero_field_lines)
     print("zero-field digest", _digest(zero_field))
+    for line in theorem_lines(scan, zero_field, exact):
+        print(line)
     return 0
 
 
